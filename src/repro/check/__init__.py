@@ -12,10 +12,8 @@
   the consensus-result structural checker that runs at every
   ``agree()`` call while checks are enabled.
 
-Checks are off by default (the production hot path pays a single
-boolean test), switched on by the ``REPRO_SANITIZE`` environment
-variable, :func:`repro.check.sanitize.enable`, or per-trainer config,
-and always on during the test suite.
+Checks are off by default and always on during the test suite; how they
+are switched on and scoped is :mod:`repro.obs.ambient`'s policy.
 """
 
 from repro.check.invariants import (

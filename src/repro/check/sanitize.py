@@ -4,9 +4,8 @@
 its trust boundaries: aggregation inputs/outputs, consensus
 proposals/decisions, NN forward/backward results and attack outputs.
 When checks are disabled (the default) the guard returns after one
-module-level boolean test — no array is touched, so the opt-out path
-adds no measurable overhead (asserted by
-``benchmarks/bench_aggregation_kernels.py --sanitize-overhead``).
+gate test — no array is touched, so the opt-out path adds no measurable
+overhead.
 
 When enabled, a non-finite or overflow-range value raises
 :class:`SanitizerError` carrying provenance — *which* value (``what``),
@@ -14,22 +13,20 @@ which rule produced it, at which node and round — gathered from the
 explicit keyword arguments merged with the ambient :func:`provenance`
 context the trainer maintains.
 
-Enabling
---------
-* environment: ``REPRO_SANITIZE=1`` (read once at import);
-* API: :func:`enable` / :func:`disable` / the :func:`sanitized`
-  context manager;
-* tests: an autouse fixture turns checks on for the whole suite;
-* trainer: ``ABDHFLConfig(sanitize=True)``.
+The on/off gate and the :func:`provenance` frames belong to
+:mod:`repro.obs.ambient` (``REPRO_SANITIZE``; ``ABDHFLConfig(sanitize=
+True)`` turns checks on for every round a trainer runs, an autouse
+fixture for the whole test suite).
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
-from typing import Iterator
+from typing import ContextManager
 
 import numpy as np
+
+from repro.obs import trace
+from repro.obs.ambient import SANITIZE as _GATE, current_provenance, provenance
 
 __all__ = [
     "SanitizerError",
@@ -61,7 +58,6 @@ class SanitizerError(FloatingPointError):
     def __init__(
         self,
         message: str,
-        *,
         what: str,
         rule: str | None = None,
         node_id: int | None = None,
@@ -73,83 +69,22 @@ class SanitizerError(FloatingPointError):
         self.node_id = node_id
         self.round_index = round_index
 
-
-def _env_enabled() -> bool:
-    return os.environ.get("REPRO_SANITIZE", "").strip().lower() in (
-        "1",
-        "true",
-        "on",
-        "yes",
-    )
+    def __reduce__(self) -> tuple[object, ...]:
+        # The default reduction replays only ``args`` (the message), which
+        # cannot rebuild the error: a trip inside a spawn worker would
+        # kill the pool's result thread and hang the parent.
+        fields = (str(self), self.what, self.rule, self.node_id, self.round_index)
+        return type(self), fields
 
 
-_enabled: bool = _env_enabled()
-
-# Ambient provenance (node/round/rule) maintained as a stack so nested
-# scopes restore their parent on exit.
-_provenance: list[dict[str, object]] = []
+enabled = _GATE.enabled
+enable = _GATE.enable
+disable = _GATE.disable
 
 
-def enabled() -> bool:
-    """Whether sanitizer checks currently run."""
-    return _enabled
-
-
-def enable() -> None:
-    """Turn sanitizer checks on process-wide."""
-    global _enabled
-    _enabled = True
-
-
-def disable() -> None:
-    """Turn sanitizer checks off process-wide."""
-    global _enabled
-    _enabled = False
-
-
-@contextmanager
-def sanitized(on: bool = True) -> Iterator[None]:
+def sanitized(on: bool = True) -> ContextManager[object]:
     """Scope with checks forced on (or off with ``on=False``)."""
-    global _enabled
-    previous = _enabled
-    _enabled = on
-    try:
-        yield
-    finally:
-        _enabled = previous
-
-
-@contextmanager
-def provenance(
-    node_id: int | None = None,
-    round_index: int | None = None,
-    rule: str | None = None,
-) -> Iterator[None]:
-    """Attach ambient provenance to every guard raised inside the scope.
-
-    Inner scopes override only the fields they set; a guard's explicit
-    keyword arguments win over the ambient context.
-    """
-    frame: dict[str, object] = {}
-    if node_id is not None:
-        frame["node_id"] = node_id
-    if round_index is not None:
-        frame["round_index"] = round_index
-    if rule is not None:
-        frame["rule"] = rule
-    _provenance.append(frame)
-    try:
-        yield
-    finally:
-        _provenance.pop()
-
-
-def current_provenance() -> dict[str, object]:
-    """Merged view of the ambient provenance stack (inner wins)."""
-    merged: dict[str, object] = {}
-    for frame in _provenance:
-        merged.update(frame)
-    return merged
+    return _GATE.scoped(True if on else None)
 
 
 def assert_finite(
@@ -166,7 +101,7 @@ def assert_finite(
     A no-op (the array is never inspected, or even coerced) while checks
     are disabled, so guard calls may stay unconditionally in hot paths.
     """
-    if not _enabled:
+    if _GATE.value is None:
         return
     arr = np.asarray(values)
     if arr.dtype.kind not in "fc":
@@ -207,11 +142,7 @@ def assert_finite(
     message = f"sanitizer: {what} contains {counts} of {arr.size} values"
     if where:
         message += f" [{where}]"
-    # Imported lazily: repro.obs must stay importable without repro.check
-    # loaded (and vice versa), and this is the cold error path anyway.
-    from repro.obs import trace as _trace
-
-    tr = _trace.tracer()
+    tr = trace.tracer()
     if tr is not None:
         tr.metrics.counter("sanitize.trips").inc()
         tr.instant(

@@ -695,34 +695,23 @@ def main(argv: list[str] | None = None) -> int:
 
     args = build_parser().parse_args(argv)
     analysis = args.command in _ANALYSIS_COMMANDS
-    trace_path = getattr(args, "trace", None) if not analysis else None
-    audit_path = getattr(args, "audit", None) if not analysis else None
+    # --trace/--audit PATH record the command in a fresh scoped instance;
+    # REPRO_TRACE/REPRO_AUDIT=<path> installed a process-wide one at
+    # import.  Either way the stream is persisted once the command is done.
+    trace_flag = None if analysis else getattr(args, "trace", None)
+    audit_flag = None if analysis else getattr(args, "audit", None)
     with ExitStack() as stack:
-        if trace_path is not None:
-            stack.enter_context(_trace.traced(trace_path))
-        cli_auditor = (
-            stack.enter_context(_audit.audited())
-            if audit_path is not None
-            else None
-        )
+        tr = stack.enter_context(_trace.traced()) if trace_flag else _trace.tracer()
+        au = stack.enter_context(_audit.audited()) if audit_flag else _audit.auditor()
         status = _COMMANDS[args.command](args)
-    if trace_path is not None:
-        print(f"saved trace {trace_path}")
-    if audit_path is not None and cli_auditor is not None:
-        _save_audit(args, cli_auditor, audit_path)
     if not analysis:
-        # REPRO_TRACE/REPRO_AUDIT=<path> installed process-wide
-        # instances at import time; persist what they collected once
-        # the command is done.
-        env_trace = _trace.env_trace_path()
-        tr = _trace.tracer()
-        if trace_path is None and env_trace is not None and tr is not None:
-            tr.save(env_trace)
-            print(f"saved trace {env_trace}")
-        env_audit = _audit.env_audit_path()
-        au = _audit.auditor()
-        if audit_path is None and env_audit is not None and au is not None:
-            _save_audit(args, au, env_audit)
+        trace_path = trace_flag or _trace.env_trace_path()
+        if tr is not None and trace_path is not None:
+            tr.save(trace_path)
+            print(f"saved trace {trace_path}")
+        audit_path = audit_flag or _audit.env_audit_path()
+        if au is not None and audit_path is not None:
+            _save_audit(args, au, audit_path)
     return status
 
 

@@ -42,11 +42,11 @@ import numpy as np
 if TYPE_CHECKING:
     from multiprocessing import pool
 
-from repro.check import sanitize
 from repro.core.config import TrainingConfig
 from repro.core.local import GlobalArrival, LocalTrainer
 from repro.data.dataset import Dataset
 from repro.nn.model import Sequential
+from repro.obs import ambient
 from repro.parallel import ENV_VAR, ParameterSlab, spawn_context
 from repro.utils.seeding import seeded_generator
 
@@ -147,14 +147,18 @@ def _init_replicas(
         )
 
 
-def _train_shard(payload: tuple[list[TrainJob], bool]) -> list[TrainResult]:
+def _train_shard(
+    payload: tuple[list[TrainJob], ambient.Snapshot | None],
+) -> list[TrainResult]:
     """Run a shard of jobs on this worker's replicas (module-level for
-    spawn-safety).  The parent's sanitize flag is re-applied so guarded
-    runs stay guarded inside workers."""
-    jobs, sanitize_on = payload
+    spawn-safety).  The parent's ambient state is re-applied, so guarded
+    runs stay guarded inside workers and a trip reports the provenance
+    (round) a serial run would.  Local SGD emits no trace or audit
+    records, so nothing is shipped back for merging."""
+    jobs, snap = payload
     assert _REPLICAS is not None, "pool initializer did not run"
     results: list[TrainResult] = []
-    with sanitize.sanitized(sanitize_on):
+    with ambient.applied(snap):
         for job in jobs:
             trainer = _REPLICAS[job.device_id]
             trainer.import_state_delta(job.state)
@@ -279,10 +283,8 @@ class LocalTrainingPool:
                     )
                 )
             jobs = shipped
-        sanitize_on = sanitize.enabled()
-        shards = [
-            (jobs[i :: self.workers], sanitize_on) for i in range(self.workers)
-        ]
+        snap = ambient.snapshot()
+        shards = [(jobs[i :: self.workers], snap) for i in range(self.workers)]
         shards = [s for s in shards if s[0]]
         merged: dict[int, TrainResult] = {}
         for shard_results in self._pool.map(_train_shard, shards):

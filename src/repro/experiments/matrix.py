@@ -18,7 +18,6 @@ bit-identical to the spec-driven path by
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,19 +154,13 @@ def gradient_gap(
     if n_drop >= n_honest:
         raise ValueError("drop_fraction leaves no live honest member")
     au = audit.auditor()
-    cell_ctx = (
-        au.context(
-            cell={
-                "defence": defence,
-                "attack": attack,
-                "fraction": byzantine_fraction,
-                "consensus": consensus,
-            }
-        )
-        if au is not None
-        else nullcontext()
-    )
-    with cell_ctx:
+    cell = {
+        "defence": defence,
+        "attack": attack,
+        "fraction": byzantine_fraction,
+        "consensus": consensus,
+    }
+    with audit.context(cell=cell):
         gaps = []
         for trial in range(n_trials):
             true_mean = rng.standard_normal(dim)
@@ -187,25 +180,18 @@ def gradient_gap(
                 # The highest-index honest members crash (deterministic
                 # choice; which members crash is not what the cell measures).
                 silent[n_honest - n_drop : n_honest] = True
+            members = list(range(n))
             if au is not None:
                 au.record(
                     "ground_truth",
                     step=trial,
                     n=n,
-                    members=list(range(n)),
+                    members=members,
                     byzantine=[int(i) for i in np.flatnonzero(byz_mask)],
                     silent=[int(i) for i in np.flatnonzero(silent)],
                 )
             if protocol is not None:
-                if au is not None:
-                    with au.context(step=trial, members=list(range(n))):
-                        result = protocol.agree(
-                            updates,
-                            byzantine_mask=byz_mask,
-                            silent_mask=silent if silent.any() else None,
-                            rng=rng,
-                        )
-                else:
+                with audit.context(step=trial, members=members):
                     result = protocol.agree(
                         updates,
                         byzantine_mask=byz_mask,
@@ -215,14 +201,8 @@ def gradient_gap(
                 survivor_ids = np.flatnonzero(result.accepted)
             else:
                 survivor_ids = np.flatnonzero(~silent)
-            survivors = updates[survivor_ids]
-            if au is not None:
-                with au.context(
-                    step=trial, members=[int(i) for i in survivor_ids]
-                ):
-                    agg = aggregator(survivors)
-            else:
-                agg = aggregator(survivors)
+            with audit.context(step=trial, members=survivor_ids):
+                agg = aggregator(updates[survivor_ids])
             gaps.append(float(np.linalg.norm(agg - true_mean)) / noise)
         gap = float(np.mean(gaps))
         if au is not None:

@@ -1,25 +1,31 @@
-"""Observability: sim-time tracing, metrics, run reports, profiling.
+"""Observability: sim-time tracing, metrics, forensics, run reports.
 
 ``repro.obs`` is the third leg of the repo's tooling tripod — static
 checks live in ``tools/abdlint.py``, runtime correctness in
 :mod:`repro.check`, and *visibility* here:
 
+* :mod:`repro.obs.ambient` — the one gate/scope/ship primitive behind
+  the sanitize flag, the tracer and the auditor (environment default,
+  ``enable``/``scoped``, worker propagation; zero overhead off);
+* :mod:`repro.obs.jsonl` — the one JSONL record sink (JSON coercion,
+  writer, lenient loader) the trace and audit streams share;
 * :mod:`repro.obs.trace` — span tracer keyed to simulator time (round
-  indices for the round trainer), gated like the sanitizers
-  (``REPRO_TRACE`` / config flag / context manager), zero overhead off;
+  indices for the round trainer);
 * :mod:`repro.obs.metrics` — deterministic counters/gauges/fixed-bucket
   histograms snapshotted into the trace stream;
 * :mod:`repro.obs.export` — JSONL schema validation and Chrome
   ``trace_event`` export for ``about://tracing``;
 * :mod:`repro.obs.audit` — defence forensics: per-device decision
   records (aggregation evidence, consensus masks, injected-fault ground
-  truth) and run manifests, gated exactly like the tracer;
+  truth) and run manifests;
 * :mod:`repro.obs.audit_report` — detection precision/recall tables and
   cross-run regression diffs behind ``python -m repro audit``;
 * :mod:`repro.obs.report` — the Table-V-style wait/compute/comm
-  breakdown behind ``python -m repro report``;
-* :mod:`repro.obs.profile` — wall-clock hooks on the numeric kernels,
-  activatable only explicitly (benchmarks), DET002-carved-out.
+  breakdown behind ``python -m repro report``.
+
+Nothing under ``src/`` reads the wall clock: wall-clock attribution is
+the perf ledger's job (``python benchmarks/ledger/run.py``), which
+brackets these layers from the outside.
 """
 
 from repro.obs.audit import (
@@ -53,7 +59,6 @@ from repro.obs.export import (
     write_chrome_trace,
 )
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.profile import Profiler, profiling
 from repro.obs.report import PhaseBreakdown, RunReport, build_report, render_report
 from repro.obs.trace import (
     TraceEvent,
@@ -96,8 +101,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "Profiler",
-    "profiling",
     "PhaseBreakdown",
     "RunReport",
     "build_report",

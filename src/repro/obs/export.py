@@ -15,6 +15,7 @@ import math
 from pathlib import Path
 from typing import Iterable
 
+from repro.obs.jsonl import load_jsonl, write_text
 from repro.obs.trace import PHASES, TraceEvent
 
 __all__ = [
@@ -73,52 +74,22 @@ def validate_event(obj: object, context: str = "") -> dict[str, object]:
     return obj
 
 
-def load_trace(path: "str | Path") -> list[dict[str, object]]:
-    """Load and validate a JSONL trace file."""
-    events: list[dict[str, object]] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            context = f"{path}:{lineno}"
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise TraceSchemaError(f"{context}: invalid JSON: {exc}") from None
-            events.append(validate_event(obj, context=context))
-    return events
-
-
 def load_trace_lenient(
     path: "str | Path",
 ) -> tuple[list[dict[str, object]], list[tuple[int, str]]]:
-    """Load a JSONL trace, collecting invalid lines instead of raising.
+    """Load a JSONL trace into ``(events, skipped)``, collecting invalid
+    lines as ``(line_number, reason)`` instead of raising (what
+    ``python -m repro report`` does unless ``--strict``)."""
+    return load_jsonl(path, validate_event)
 
-    Returns ``(events, skipped)`` where ``skipped`` lists
-    ``(line_number, reason)`` for every line that failed to parse or
-    validate.  ``python -m repro report`` uses this so a trace with a few
-    foreign or corrupt lines still yields a report — while *telling* the
-    user how many lines were ignored (``--strict`` restores the
-    all-or-nothing behaviour of :func:`load_trace`).
-    """
-    events: list[dict[str, object]] = []
-    skipped: list[tuple[int, str]] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                skipped.append((lineno, f"invalid JSON: {exc}"))
-                continue
-            try:
-                events.append(validate_event(obj))
-            except TraceSchemaError as exc:
-                skipped.append((lineno, str(exc)))
-    return events, skipped
+
+def load_trace(path: "str | Path") -> list[dict[str, object]]:
+    """Load and validate a JSONL trace file (the first bad line raises)."""
+    events, skipped = load_trace_lenient(path)
+    if skipped:
+        lineno, reason = skipped[0]
+        raise TraceSchemaError(f"{path}:{lineno}: {reason}")
+    return events
 
 
 # ----------------------------------------------------------------------
@@ -183,12 +154,7 @@ def write_chrome_trace(
     path: "str | Path", events: "Iterable[dict[str, object] | TraceEvent]"
 ) -> Path:
     """Write the Chrome-format trace JSON to ``path``."""
-    target = Path(path)
-    if target.parent != Path("."):
-        target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(
-        json.dumps(to_chrome_trace(events), sort_keys=True, allow_nan=False)
-        + "\n",
-        encoding="utf-8",
+    return write_text(
+        path,
+        json.dumps(to_chrome_trace(events), sort_keys=True, allow_nan=False) + "\n",
     )
-    return target

@@ -1,19 +1,9 @@
 """Span tracing keyed to simulator time, with deterministic JSONL output.
 
-The tracer is the observability counterpart of
-:mod:`repro.check.sanitize` and follows the same gating pattern:
-
-* environment: ``REPRO_TRACE=1`` (or a file path, read once at import —
-  a path additionally becomes the default save target the CLI uses);
-* API: :func:`enable` / :func:`disable` / the :func:`traced` and
-  :func:`scoped` context managers;
-* trainer: ``ABDHFLConfig(trace=True)`` gives the trainer a private
-  tracer active for every round it runs.
-
-When tracing is off, every instrumentation site in the hot paths pays a
-single ``tracer() is None`` test and touches nothing else (asserted by
-``benchmarks/bench_aggregation_kernels.py --trace-overhead``).  When on,
-events are appended to an in-memory list and serialised on demand.
+The tracer is gated, scoped and shipped to workers by
+:mod:`repro.obs.ambient` (``REPRO_TRACE``; ``ABDHFLConfig(trace=True)``
+gives a trainer a private tracer active for every round it runs).  When
+on, events are appended to an in-memory list and serialised on demand.
 
 Determinism contract
 --------------------
@@ -46,14 +36,12 @@ Event model (one JSON object per line)
 
 from __future__ import annotations
 
-import json
 import math
-import os
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Iterator, Mapping
+from typing import Mapping
 
+from repro.obs.ambient import Slot
+from repro.obs.jsonl import RecordSink, _jsonable
 from repro.obs.metrics import MetricsRegistry
 
 __all__ = [
@@ -68,31 +56,8 @@ __all__ = [
     "env_trace_path",
 ]
 
-_TRUTHY = ("1", "true", "on", "yes")
-
 #: Valid ``ph`` phase codes: span, instant, metrics sample.
 PHASES: tuple[str, ...] = ("X", "i", "C")
-
-
-def _jsonable(value: object) -> object:
-    """Coerce ``value`` into deterministic JSON-safe data.
-
-    Non-finite floats become ``None`` (strict JSON has no NaN/Inf), numpy
-    scalars collapse to their python value, mappings/sequences recurse,
-    and anything else falls back to ``str``.
-    """
-    if value is None or isinstance(value, (bool, int, str)):
-        return value
-    if isinstance(value, float):
-        return value if math.isfinite(value) else None
-    if isinstance(value, Mapping):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    item = getattr(value, "item", None)
-    if callable(item):  # numpy scalar
-        return _jsonable(item())
-    return str(value)
 
 
 @dataclass(frozen=True)
@@ -123,16 +88,30 @@ class TraceEvent:
         return out
 
 
-class Tracer:
+class Tracer(RecordSink):
     """An in-memory event sink plus its metrics registry."""
 
     def __init__(self) -> None:
-        self.events: list[TraceEvent] = []
+        super().__init__()
         self.metrics = MetricsRegistry()
 
-    # ------------------------------------------------------------------
-    # emission
-    # ------------------------------------------------------------------
+    @property
+    def events(self) -> list[TraceEvent]:
+        return self.rows
+
+    def _emit(
+        self,
+        name: str,
+        cat: str,
+        ph: str,
+        t: float,
+        dur: float | None,
+        actor: int | None,
+        args: Mapping[str, object],
+    ) -> None:
+        payload = {k: _jsonable(v) for k, v in args.items()}
+        self.rows.append(TraceEvent(name, cat, ph, t, dur, actor, payload))
+
     def instant(
         self,
         name: str,
@@ -143,18 +122,8 @@ class Tracer:
     ) -> None:
         """Record an instantaneous event at time ``t``."""
         t = float(t)
-        if not math.isfinite(t):
-            return  # a NaN timestamp carries no information worth keeping
-        self.events.append(
-            TraceEvent(
-                name=name,
-                cat=cat,
-                ph="i",
-                t=t,
-                actor=actor,
-                args={k: _jsonable(v) for k, v in args.items()},
-            )
-        )
+        if math.isfinite(t):  # a NaN timestamp carries no information
+            self._emit(name, cat, "i", t, None, actor, args)
 
     def span(
         self,
@@ -168,118 +137,24 @@ class Tracer:
         """Record a complete ``[start, end]`` span (``end >= start``)."""
         start = float(start)
         end = float(end)
-        if not (math.isfinite(start) and math.isfinite(end)) or end < start:
-            return
-        self.events.append(
-            TraceEvent(
-                name=name,
-                cat=cat,
-                ph="X",
-                t=start,
-                dur=end - start,
-                actor=actor,
-                args={k: _jsonable(v) for k, v in args.items()},
-            )
-        )
+        if math.isfinite(start) and math.isfinite(end) and end >= start:
+            self._emit(name, cat, "X", start, end - start, actor, args)
 
     def snapshot_metrics(self, t: float) -> None:
         """Emit one ``"C"`` sample per registered metric at time ``t``."""
         t = float(t)
-        if not math.isfinite(t):
-            return
-        for name, snap in self.metrics.snapshot().items():
-            self.events.append(
-                TraceEvent(
-                    name=name,
-                    cat="metrics",
-                    ph="C",
-                    t=t,
-                    args={k: _jsonable(v) for k, v in snap.items()},
-                )
-            )
-
-    # ------------------------------------------------------------------
-    # serialisation
-    # ------------------------------------------------------------------
-    def to_jsonl(self) -> str:
-        """Serialise all events, one sorted-key JSON object per line."""
-        lines = [
-            json.dumps(e.as_dict(), sort_keys=True, allow_nan=False)
-            for e in self.events
-        ]
-        return "\n".join(lines) + ("\n" if lines else "")
-
-    def save(self, path: "str | Path") -> Path:
-        """Write the JSONL trace to ``path`` (parents created)."""
-        target = Path(path)
-        if target.parent != Path("."):
-            target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(self.to_jsonl(), encoding="utf-8")
-        return target
+        if math.isfinite(t):
+            for name, snap in self.metrics.snapshot().items():
+                self._emit(name, "metrics", "C", t, None, None, snap)
 
 
-# ----------------------------------------------------------------------
-# process-wide gating (the repro.check.sanitize pattern)
-# ----------------------------------------------------------------------
-def _env_setting() -> str:
-    return os.environ.get("REPRO_TRACE", "").strip()
+# The process-wide gate: one ambient slot, re-exported under trace verbs.
+_SLOT: Slot[Tracer] = Slot("trace", "REPRO_TRACE", Tracer, takes_path=True)
 
-
-def env_trace_path() -> Path | None:
-    """The save path carried by ``REPRO_TRACE`` (``None`` for bare ``1``)."""
-    value = _env_setting()
-    if not value or value.lower() in _TRUTHY:
-        return None
-    return Path(value)
-
-
-_tracer: Tracer | None = Tracer() if _env_setting() else None
-
-
-def tracer() -> Tracer | None:
-    """The active tracer, or ``None`` when tracing is off.
-
-    This is THE gate every instrumentation site checks; the disabled
-    path is this single attribute read.
-    """
-    return _tracer
-
-
-def enabled() -> bool:
-    """Whether tracing is currently on."""
-    return _tracer is not None
-
-
-def enable(instance: Tracer | None = None) -> Tracer:
-    """Install ``instance`` (or a fresh :class:`Tracer`) process-wide."""
-    global _tracer
-    _tracer = instance if instance is not None else Tracer()
-    return _tracer
-
-
-def disable() -> None:
-    """Turn tracing off process-wide."""
-    global _tracer
-    _tracer = None
-
-
-@contextmanager
-def scoped(instance: Tracer) -> Iterator[Tracer]:
-    """Scope with ``instance`` installed; the previous tracer is restored."""
-    global _tracer
-    previous = _tracer
-    _tracer = instance
-    try:
-        yield instance
-    finally:
-        _tracer = previous
-
-
-@contextmanager
-def traced(path: "str | Path | None" = None) -> Iterator[Tracer]:
-    """Scope with a *fresh* tracer; optionally saved to ``path`` on exit."""
-    instance = Tracer()
-    with scoped(instance):
-        yield instance
-    if path is not None:
-        instance.save(path)
+tracer = _SLOT.get
+enabled = _SLOT.enabled
+enable = _SLOT.enable
+disable = _SLOT.disable
+scoped = _SLOT.scoped
+traced = _SLOT.fresh
+env_trace_path = _SLOT.env_path

@@ -7,10 +7,10 @@ provides two fan-out surfaces, both with a hard bit-identity contract:
 * **sweep-level** — :func:`parallel_map` shards independent work items
   (defence-matrix cells, Table-V cells, repeated runs) across spawn
   workers and reduces the results in *input order*, so the output list
-  is identical to the serial loop regardless of worker count.  When
-  tracing is on, each item's :mod:`repro.obs` events are captured in a
-  per-task tracer and merged back in input order, yielding a
-  byte-identical JSONL trace for every worker count;
+  is identical to the serial loop regardless of worker count.  The
+  ambient observers travel with each item
+  (:mod:`repro.obs.ambient`), so trace and audit streams are
+  byte-identical for every worker count too;
 
 * **round-level** — :class:`repro.core.pool.LocalTrainingPool` (in
   :mod:`repro.core`, because it replays :class:`~repro.core.local.LocalTrainer`
@@ -23,13 +23,11 @@ provides two fan-out surfaces, both with a hard bit-identity contract:
   the parent-side trainers remain the single source of truth,
   byte-for-byte equal to a serial run after every round.
 
-Gating follows the sanitize/trace pattern: ``workers=1`` (the default)
-*is* the serial code path — a plain comprehension, no pool, no pickling
-— and costs nothing (asserted by ``benchmarks/bench_aggregation_kernels.py
---parallel-overhead``).  The worker count resolves from an explicit
-argument, the ``REPRO_WORKERS`` environment variable
-(:func:`resolve_workers`), ``ABDHFLConfig(workers=...)`` or the CLI
-``--workers`` flag.
+``workers=1`` (the default) *is* the serial code path — a plain
+comprehension, no pool, no pickling.  The worker count resolves from an
+explicit argument, ``ABDHFLConfig(workers=...)``, the CLI ``--workers``
+flag or the ``REPRO_WORKERS`` environment variable
+(:func:`resolve_workers`).
 
 Spawn-safety rules (see DESIGN.md "Parallel execution"):
 
@@ -41,18 +39,12 @@ Spawn-safety rules (see DESIGN.md "Parallel execution"):
   never from completion order.
 """
 
-from repro.parallel.config import (
-    ENV_VAR,
-    ParallelConfig,
-    env_workers,
-    resolve_workers,
-)
+from repro.parallel.config import ENV_VAR, env_workers, resolve_workers
 from repro.parallel.pool import parallel_map, spawn_context
 from repro.parallel.shm import ParameterSlab
 
 __all__ = [
     "ENV_VAR",
-    "ParallelConfig",
     "env_workers",
     "resolve_workers",
     "parallel_map",

@@ -1,4 +1,4 @@
-"""Worker-count resolution (the sanitize/trace gating pattern).
+"""Worker-count resolution.
 
 The parallel backend is *off* unless something asks for workers: the
 resolution order is explicit argument > ``REPRO_WORKERS`` environment
@@ -11,9 +11,8 @@ zero-overhead guarantee checkable.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 
-__all__ = ["ENV_VAR", "ParallelConfig", "env_workers", "resolve_workers"]
+__all__ = ["ENV_VAR", "env_workers", "resolve_workers"]
 
 #: Environment variable consulted when no explicit worker count is given.
 #: Accepts a positive integer or ``auto`` (one worker per CPU).
@@ -59,22 +58,3 @@ def resolve_workers(workers: int | None = None) -> int:
         return int(workers)
     from_env = env_workers()
     return 1 if from_env is None else from_env
-
-
-@dataclass(frozen=True)
-class ParallelConfig:
-    """Declarative worker configuration for embedding in other configs.
-
-    ``workers=None`` defers to ``REPRO_WORKERS`` / serial — mirroring how
-    ``ABDHFLConfig.sanitize``/``trace`` defer to their environment gates.
-    """
-
-    workers: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.workers is not None and self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
-
-    def resolved(self) -> int:
-        """The effective worker count (explicit > env > 1)."""
-        return resolve_workers(self.workers)

@@ -9,27 +9,26 @@ Determinism comes from two rules:
 
 * **ordered reduction** — results are collected with ``Pool.map``, which
   returns them in *input* order no matter which worker finished first;
-* **per-task trace scoping** — when an ambient tracer (or auditor) is
-  installed, each task (serial or remote) runs under a fresh private
-  instance whose events/records are replayed into the ambient one in
-  input order.  The merged trace and audit streams are therefore
-  byte-identical for every worker count, including 1.
+* **per-task observer scoping** — every task, serial or remote, runs
+  under :func:`repro.obs.ambient.applied`: the parent's sanitize flag and
+  provenance re-created around it, each enabled record sink replaced by
+  a private instance whose rows are merged back in input order.  The
+  merged trace and audit streams are therefore byte-identical for every
+  worker count, including 1.
 
 With tracing and auditing off and ``workers=1`` the call is a plain list
 comprehension: no pool, no pickling, no wrapper frame — the zero-overhead
-contract checked by ``bench_aggregation_kernels.py --parallel-overhead``.
+contract checked by ``bench_aggregation_kernels.py --overhead parallel``.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
-from contextlib import nullcontext
 from multiprocessing.context import BaseContext
-from typing import Callable, ContextManager, Iterable, TypeVar
+from typing import Any, Callable, Iterable, TypeVar
 
-from repro.check import sanitize
-from repro.obs import audit, trace
+from repro.obs import ambient
 from repro.parallel.config import ENV_VAR, resolve_workers
 
 __all__ = ["parallel_map", "spawn_context"]
@@ -61,35 +60,18 @@ def _init_worker() -> None:
 
 
 def _run_task(
-    payload: tuple[Callable[[_T], _R], _T, bool, bool, bool],
-) -> tuple[_R, list[trace.TraceEvent] | None, list[dict[str, object]] | None]:
-    """Execute one task inside a worker process.
+    payload: tuple[Callable[[_T], _R], _T, ambient.Snapshot],
+) -> tuple[_R, dict[str, list[Any]]]:
+    """Execute one task under the parent's ambient state.
 
     Module-level by spawn-safety rule 1 (DESIGN.md): spawn workers import
     this function by qualified name, so it must never live in
-    ``__main__``.  The parent's sanitize flag is re-applied and, when the
-    parent traces (audits), the task's events (records) are captured in a
-    private tracer (auditor) and shipped back for ordered merging.
+    ``__main__``.  Returns the result and the rows the task recorded.
     """
-    fn, item, sanitize_on, capture_trace, capture_audit = payload
-    with sanitize.sanitized(sanitize_on):
-        task_tracer = trace.Tracer() if capture_trace else None
-        task_auditor = audit.Auditor() if capture_audit else None
-        tctx: ContextManager[object] = (
-            trace.scoped(task_tracer) if task_tracer is not None else nullcontext()
-        )
-        actx: ContextManager[object] = (
-            audit.scoped(task_auditor)
-            if task_auditor is not None
-            else nullcontext()
-        )
-        with tctx, actx:
-            result = fn(item)
-        return (
-            result,
-            task_tracer.events if task_tracer is not None else None,
-            task_auditor.records if task_auditor is not None else None,
-        )
+    fn, item, snap = payload
+    with ambient.applied(snap) as captured:
+        result = fn(item)
+    return result, captured
 
 
 def parallel_map(
@@ -113,48 +95,23 @@ def parallel_map(
     """
     work = list(items)
     n_workers = min(resolve_workers(workers), max(1, len(work)))
-    ambient = trace.tracer()
-    ambient_audit = audit.auditor()
+    if n_workers <= 1 and not ambient.recording():
+        return [fn(item) for item in work]
 
+    # One loop, two executors: in-process when serial (scoped exactly
+    # like a worker would, so the merged streams are invariant to the
+    # worker count), a spawn pool otherwise.
+    snap = ambient.snapshot()
+    payloads = [(fn, item, snap) for item in work]
     if n_workers <= 1:
-        if ambient is None and ambient_audit is None:
-            return [fn(item) for item in work]
-        # Traced/audited serial path: scope each task exactly like a
-        # worker would so the merged streams are invariant to the worker
-        # count.
-        results: list[_R] = []
-        for item in work:
-            task_tracer = trace.Tracer() if ambient is not None else None
-            task_auditor = audit.Auditor() if ambient_audit is not None else None
-            tctx: ContextManager[object] = (
-                trace.scoped(task_tracer)
-                if task_tracer is not None
-                else nullcontext()
-            )
-            actx: ContextManager[object] = (
-                audit.scoped(task_auditor)
-                if task_auditor is not None
-                else nullcontext()
-            )
-            with tctx, actx:
-                results.append(fn(item))
-            if ambient is not None and task_tracer is not None:
-                ambient.events.extend(task_tracer.events)
-            if ambient_audit is not None and task_auditor is not None:
-                ambient_audit.records.extend(task_auditor.records)
-        return results
-
-    payloads = [
-        (fn, item, sanitize.enabled(), ambient is not None, ambient_audit is not None)
-        for item in work
-    ]
-    with spawn_context().Pool(processes=n_workers, initializer=_init_worker) as pool:
-        outcomes = pool.map(_run_task, payloads, chunksize=1)
-    results = []
-    for result, shard, audit_shard in outcomes:  # input order == reduction order
+        outcomes = [_run_task(payload) for payload in payloads]
+    else:
+        with spawn_context().Pool(
+            processes=n_workers, initializer=_init_worker
+        ) as pool:
+            outcomes = pool.map(_run_task, payloads, chunksize=1)
+    results: list[_R] = []
+    for result, captured in outcomes:  # input order == reduction order
         results.append(result)
-        if ambient is not None and shard:
-            ambient.events.extend(shard)
-        if ambient_audit is not None and audit_shard:
-            ambient_audit.records.extend(audit_shard)
+        ambient.merge(captured)
     return results

@@ -8,7 +8,6 @@ import pytest
 
 from repro.aggregation import get_aggregator
 from repro.attacks import get_attack
-from repro.check import sanitize
 from repro.check.sanitize import (
     OVERFLOW_LIMIT,
     SanitizerError,
@@ -20,49 +19,12 @@ from repro.check.sanitize import (
 from repro.consensus.voting import VotingConsensus
 
 
-class TestGating:
-    def test_autouse_fixture_enables_checks(self):
-        assert sanitize.enabled()
-
-    def test_sanitized_scope_restores(self):
-        with sanitized(False):
-            assert not sanitize.enabled()
-            with sanitized(True):
-                assert sanitize.enabled()
-            assert not sanitize.enabled()
-        assert sanitize.enabled()
-
-    def test_enable_disable(self):
-        sanitize.disable()
-        assert not sanitize.enabled()
-        sanitize.enable()
-        assert sanitize.enabled()
-
+class TestAssertFinite:
     def test_disabled_guard_never_inspects(self):
         bad = np.array([np.nan, np.inf])
         with sanitized(False):
             assert_finite(bad, "ignored payload")  # must not raise
 
-    def test_env_parser(self):
-        import os
-
-        for value, expected in [
-            ("1", True),
-            ("true", True),
-            ("ON", True),
-            ("yes", True),
-            ("", False),
-            ("0", False),
-            ("off", False),
-        ]:
-            os.environ["REPRO_SANITIZE"] = value
-            try:
-                assert sanitize._env_enabled() is expected, value
-            finally:
-                del os.environ["REPRO_SANITIZE"]
-
-
-class TestAssertFinite:
     def test_finite_passes(self):
         assert_finite(np.zeros(8), "zeros")
         assert_finite(np.full(4, OVERFLOW_LIMIT), "at the limit")

@@ -401,6 +401,23 @@ class TestACSConsensus:
         assert result.accepted.sum() >= acs_subset_size(7, 2)
         assert result.info["silent"] == 2
 
+    def test_under_marked_cluster_late_honest_slot(self):
+        """Every node waits for ``n - max_faulty(n)`` slots whatever the
+        number of members marked faulty.  With 1 of the 2 tolerated
+        members Byzantine and 5% link drops, seed 305 leaves a late
+        *honest* slot out (|S| = 5 = 7 - 2): that is the protocol's
+        guarantee, not an invariant violation."""
+        rng = seeded_generator(305)
+        proposals, center = proposal_stack(rng)
+        byz = np.zeros(7, dtype=bool)
+        byz[6] = True
+        plan = FaultPlan.uniform(drop_probability=0.05, seed=307)
+        result = ACSConsensus(fault_plan=plan, adversary="equivocate").agree(
+            proposals, byzantine_mask=byz, rng=rng
+        )
+        assert len(result.info["subset"]) == acs_subset_size(7, max_faulty(7)) == 5
+        assert np.linalg.norm(result.value - center) < 1.0
+
     def test_fault_bound_enforced(self):
         rng = seeded_generator(3)
         proposals, _ = proposal_stack(rng, n=6)

@@ -1,9 +1,10 @@
 """Tests for the observability stack (:mod:`repro.obs`).
 
-Covers the tracer and its gating, the deterministic metrics registry,
-schema validation / Chrome export, the Table-V-style run report, the
-benchmark-only wall-clock profiler, and the instrumentation hooks wired
-into the channel, aggregators, NN and trainer.
+Covers the tracer, the deterministic metrics registry, schema
+validation / Chrome export, the Table-V-style run report, and the
+instrumentation hooks wired into the channel, aggregators and trainer.
+(The tracer's gating is covered with the other observers' in
+``test_obs_ambient.py``.)
 """
 
 import json
@@ -19,19 +20,17 @@ from repro.obs import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    Profiler,
     TraceEvent,
     Tracer,
     TraceSchemaError,
     build_report,
     load_trace,
-    profiling,
     render_report,
     to_chrome_trace,
     validate_event,
     write_chrome_trace,
 )
-from repro.obs import profile, trace
+from repro.obs import trace
 from repro.pipeline.event_run import EventDrivenRun, TimingConfig
 from repro.sim.engine import Simulator
 from repro.sim.latency import FixedLatency, UniformLatency
@@ -176,6 +175,12 @@ class TestTracer:
         assert args["nested"] == {"x": 0.5, "y": [1, 2]}
         assert isinstance(args["other"], str)
 
+    def test_ndarray_arg_serialises_as_list(self):
+        tr = Tracer()
+        tr.instant("a", "c", 0.0, scores=np.array([1.5, np.nan]), ids=np.arange(3))
+        assert tr.events[0].args == {"scores": [1.5, None], "ids": [0, 1, 2]}
+        assert '"ids": [0, 1, 2]' in tr.to_jsonl()
+
     def test_as_dict_omits_absent_fields(self):
         event = TraceEvent(name="a", cat="c", ph="i", t=0.0)
         assert event.as_dict() == {"name": "a", "cat": "c", "ph": "i", "t": 0.0}
@@ -228,52 +233,6 @@ class TestTracer:
         events = load_trace(path)
         assert len(events) == 2
         assert events[0]["dur"] == 1.5 and events[1]["ph"] == "i"
-
-
-class TestGating:
-    def test_off_by_default_in_tests(self):
-        assert trace.tracer() is None
-        assert not trace.enabled()
-
-    def test_enable_disable(self):
-        tr = trace.enable()
-        assert trace.tracer() is tr and trace.enabled()
-        trace.disable()
-        assert trace.tracer() is None
-
-    def test_enable_accepts_instance(self):
-        mine = Tracer()
-        assert trace.enable(mine) is mine
-        assert trace.tracer() is mine
-
-    def test_scoped_restores_previous(self):
-        outer = trace.enable()
-        inner = Tracer()
-        with trace.scoped(inner):
-            assert trace.tracer() is inner
-        assert trace.tracer() is outer
-
-    def test_traced_installs_fresh_tracer_and_saves(self, tmp_path):
-        path = tmp_path / "out.jsonl"
-        with trace.traced(path) as tr:
-            assert trace.tracer() is tr
-            tr.instant("a", "c", 0.0)
-        assert trace.tracer() is None
-        assert load_trace(path)[0]["name"] == "a"
-
-    def test_traced_without_path_saves_nothing(self, tmp_path):
-        with trace.traced() as tr:
-            tr.instant("a", "c", 0.0)
-        assert list(tmp_path.iterdir()) == []
-
-    def test_env_trace_path_parsing(self, monkeypatch):
-        monkeypatch.delenv("REPRO_TRACE", raising=False)
-        assert trace.env_trace_path() is None
-        for bare in ("1", "true", "ON", "yes"):
-            monkeypatch.setenv("REPRO_TRACE", bare)
-            assert trace.env_trace_path() is None
-        monkeypatch.setenv("REPRO_TRACE", "runs/t.jsonl")
-        assert trace.env_trace_path() == __import__("pathlib").Path("runs/t.jsonl")
 
 
 # ======================================================================
@@ -460,70 +419,6 @@ class TestRenderReport:
         text = render_report(tr.events)
         assert "no spans recorded" in text
         assert "1 trace events" in text
-
-
-# ======================================================================
-# wall-clock profiler (benchmarks only)
-# ======================================================================
-class TestProfiler:
-    def test_record_accumulates_exact_fold(self):
-        prof = Profiler()
-        with prof.record("work"):
-            pass
-        with prof.record("work"):
-            pass
-        rec = prof.records["work"]
-        assert rec.count == 2
-        assert rec.total >= rec.max >= rec.min >= 0.0
-        assert rec.mean == pytest.approx(rec.total / 2)
-
-    def test_record_survives_exceptions(self):
-        prof = Profiler()
-        with pytest.raises(RuntimeError):
-            with prof.record("boom"):
-                raise RuntimeError
-        assert prof.records["boom"].count == 1
-
-    def test_summary_is_name_sorted(self):
-        prof = Profiler()
-        with prof.record("b"):
-            pass
-        with prof.record("a"):
-            pass
-        assert list(prof.summary()) == ["a", "b"]
-
-    def test_not_active_by_default_and_ctx_restores(self):
-        assert profile.active() is None
-        outer = Profiler()
-        with profiling(outer) as installed:
-            assert installed is outer and profile.active() is outer
-            with profiling() as inner:
-                assert profile.active() is inner is not outer
-            assert profile.active() is outer
-        assert profile.active() is None
-
-    def test_nn_forward_backward_hooks(self, tiny_model, rng):
-        x = rng.standard_normal((4, 64))
-        with profiling() as prof:
-            out = tiny_model.forward(x)
-            tiny_model.backward(np.ones_like(out))
-        assert prof.records["nn.forward"].count == 1
-        assert prof.records["nn.backward"].count == 1
-
-    def test_aggregation_hook_records_rule_name(self, rng):
-        fedavg = get_aggregator("fedavg")
-        matrix = rng.standard_normal((5, 8))
-        with profiling() as prof:
-            fedavg(matrix)
-        assert prof.records["aggregate.fedavg"].count == 1
-
-    def test_profiling_does_not_change_results(self, rng):
-        fedavg = get_aggregator("fedavg")
-        matrix = rng.standard_normal((5, 8))
-        baseline = fedavg(matrix)
-        with profiling():
-            profiled = fedavg(matrix)
-        np.testing.assert_array_equal(profiled, baseline)
 
 
 # ======================================================================

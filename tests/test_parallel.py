@@ -21,13 +21,7 @@ from repro.experiments.matrix import (
     run_defence_matrix,
 )
 from repro.obs import Tracer, trace
-from repro.parallel import (
-    ENV_VAR,
-    ParallelConfig,
-    env_workers,
-    parallel_map,
-    resolve_workers,
-)
+from repro.parallel import ENV_VAR, env_workers, parallel_map, resolve_workers
 
 
 @pytest.fixture(autouse=True)
@@ -72,24 +66,10 @@ class TestResolveWorkers:
             resolve_workers(0)
 
 
-class TestParallelConfig:
-    def test_none_defers_to_env_then_serial(self, monkeypatch):
-        assert ParallelConfig().resolved() == 1
-        monkeypatch.setenv(ENV_VAR, "6")
-        assert ParallelConfig().resolved() == 6
-
-    def test_explicit_wins(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "6")
-        assert ParallelConfig(workers=2).resolved() == 2
-
-    def test_invalid_rejected(self):
-        with pytest.raises(ValueError, match="workers"):
-            ParallelConfig(workers=0)
-
-    def test_abdhfl_config_validates_workers(self):
-        assert ABDHFLConfig(workers=2).workers == 2
-        with pytest.raises(ValueError, match="workers"):
-            ABDHFLConfig(workers=0)
+def test_abdhfl_config_validates_workers():
+    assert ABDHFLConfig(workers=2).workers == 2
+    with pytest.raises(ValueError, match="workers"):
+        ABDHFLConfig(workers=0)
 
 
 # ======================================================================

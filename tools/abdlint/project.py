@@ -142,7 +142,6 @@ class ModuleSummary:
                 "is_benchmarks": self.kind.is_benchmarks,
                 "is_seeding": self.kind.is_seeding,
                 "is_invariants": self.kind.is_invariants,
-                "is_profiling": self.kind.is_profiling,
                 "is_parallel": self.kind.is_parallel,
                 "is_shm_owner": self.kind.is_shm_owner,
                 "is_scenario": self.kind.is_scenario,
