@@ -163,7 +163,7 @@ PARALLEL_OVERHEAD_ITEMS = 32
 
 #: mechanism -> (scope that turns it on, what its opt-out path must stay).
 #: ``parallel`` has no "on" here: workers=1 is the off path, and the
-#: pooled path is benched end to end by ``bench_pipeline.py``.
+#: pooled path is benched end to end by the ledger's ``fleet512-pool2``.
 OVERHEAD_MECHANISMS: dict[str, tuple[Callable[[], ContextManager] | None, str]] = {
     "sanitize": (sanitize.sanitized, "one boolean test"),
     "trace": (trace.traced, "one None test"),

@@ -101,37 +101,17 @@ class LocalTrainer:
         idx = self.rng.choice(n, size=batch, replace=False)
         return self.dataset.X[idx], self.dataset.y[idx]
 
-    def export_state(self) -> dict[str, object]:
-        """Snapshot the state that persists across rounds.
+    def export_state(self) -> tuple[object, ...]:
+        """The state that persists across rounds, as a positional tuple.
 
         ``train_round`` overwrites every model parameter via
         ``set_flat``, so the only cross-round state a device carries is
-        its RNG stream position and its optimiser state (step counter,
-        momentum buffers).  :mod:`repro.parallel` round-trips this
-        snapshot to spawn workers and back so the parent-side trainer
-        stays bit-identical to a serial run.
-        """
-        return {
-            "rng": self.rng.bit_generator.state,
-            "optimizer": self.optimizer.export_state(),
-        }
-
-    def import_state(self, state: dict[str, object]) -> None:
-        """Restore a snapshot taken by :meth:`export_state`."""
-        self.rng.bit_generator.state = state["rng"]
-        self.optimizer.import_state(state["optimizer"])  # type: ignore[arg-type]
-
-    def export_state_delta(self) -> tuple[object, ...]:
-        """The round-trip state as a compact positional tuple.
-
-        What actually changes between rounds is the PCG64 stream
-        *position* (two integers plus the cached-uint32 pair) and the
-        optimiser slots (step counter, momentum buffers) — everything
-        else in :meth:`export_state`'s nested dicts is structural
-        boilerplate re-copied per job.  The delta form ships exactly
-        those five fields, with no defensive copies (the tuple is
-        serialised immediately); :meth:`import_state_delta` rebuilds the
-        full state on the far side.
+        its PCG64 stream *position* (two integers plus the cached-uint32
+        pair) and its optimiser slots (step counter, momentum buffers).
+        :mod:`repro.core.pool` round-trips this tuple to spawn workers
+        and back so the parent-side trainer stays bit-identical to an
+        in-process run.  No defensive copies: the tuple is serialised
+        immediately.
         """
         st = self.rng.bit_generator.state
         inner = st["state"]
@@ -145,12 +125,12 @@ class LocalTrainer:
             velocity,
         )
 
-    def import_state_delta(self, delta: tuple[object, ...]) -> None:
-        """Restore a :meth:`export_state_delta` tuple."""
-        state, inc, has_uint32, uinteger, step_count, velocity = delta
+    def import_state(self, state: tuple[object, ...]) -> None:
+        """Restore a tuple taken by :meth:`export_state`."""
+        position, inc, has_uint32, uinteger, step_count, velocity = state
         self.rng.bit_generator.state = {
             "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
+            "state": {"state": position, "inc": inc},
             "has_uint32": has_uint32,
             "uinteger": uinteger,
         }

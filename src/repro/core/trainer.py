@@ -35,7 +35,7 @@ from repro.nn.losses import SoftmaxCrossEntropy
 from repro.obs import ambient, audit, trace
 from repro.nn.metrics import accuracy
 from repro.nn.model import Sequential
-from repro.core.pool import DeviceSpec, LocalTrainingPool, TrainJob
+from repro.core.pool import LocalFleet
 from repro.parallel import resolve_workers
 from repro.topology.cluster import Cluster
 from repro.topology.tree import Hierarchy
@@ -217,12 +217,11 @@ class ABDHFLTrainer:
                     spec.name, dict(spec.options), validator=self.validator
                 )
 
-        # Process-level parallelism for local training (repro.parallel):
-        # the pool is created lazily on the first parallel round and
-        # rebuilt after membership churn.  workers == 1 keeps the serial
-        # code path untouched.
+        # Local training runs through the fleet: in-process at
+        # workers == 1, otherwise in a spawn pool created lazily on the
+        # first round and rebuilt after membership churn.
         self.workers = resolve_workers(config.workers)
-        self._pool: LocalTrainingPool | None = None
+        self._fleet = LocalFleet(self.trainers, self._eval_model, self.workers)
 
         # Cross-round kernel reuse: last round's ParameterMatrix per
         # aggregation site, keyed by (level, cluster) and guarded by the
@@ -397,9 +396,7 @@ class ABDHFLTrainer:
         Safe to call at any time; the next parallel round recreates the
         pool from the current membership.
         """
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
+        self._fleet.close()
 
     def __enter__(self) -> "ABDHFLTrainer":
         return self
@@ -422,69 +419,17 @@ class ABDHFLTrainer:
     # phases
     # ------------------------------------------------------------------
     def _local_training(self) -> tuple[dict[int, np.ndarray], list[float]]:
-        if self.workers > 1:
-            return self._local_training_parallel()
-        local_models: dict[int, np.ndarray] = {}
-        losses: list[float] = []
-        bottom_level = self.hierarchy.bottom_level
-        for cluster in self.hierarchy.clusters_at(bottom_level):
+        """Algorithm 2 for every live bottom device, in (cluster, member)
+        order; the fleet decides where each device's SGD runs."""
+        work: list[tuple[int, np.ndarray, GlobalArrival | None]] = []
+        for cluster in self.hierarchy.clusters_at(self.hierarchy.bottom_level):
             start = self._start_vector_for(cluster)
             arrival = self._global_arrival_for(cluster)
             for device in cluster.members:
                 if self._fault is not None and self._fault.is_crashed(device):
                     continue  # crash-stopped: no compute, no upload
-                trainer = self.trainers[device]
-                local_models[device] = trainer.train_round(start, arrival)
-                losses.extend(trainer.last_losses)
-        return local_models, losses
-
-    def _local_training_parallel(self) -> tuple[dict[int, np.ndarray], list[float]]:
-        """Fan the round's local SGD out to the worker pool.
-
-        Jobs are built in exactly the serial iteration order (cluster,
-        then member), each carrying the device's exported round-trip
-        state; results are imported back in that same order, so the
-        parent trainers — RNG streams, optimiser state, model weights,
-        ``last_losses`` — end the round bit-identical to a serial run.
-        """
-        if self._pool is None:
-            specs = [
-                DeviceSpec(
-                    device_id=device,
-                    dataset=trainer.dataset,
-                    config=trainer.config,
-                )
-                for device, trainer in sorted(self.trainers.items())
-            ]
-            self._pool = LocalTrainingPool(self._eval_model, specs, self.workers)
-        jobs: list[TrainJob] = []
-        bottom_level = self.hierarchy.bottom_level
-        for cluster in self.hierarchy.clusters_at(bottom_level):
-            start = self._start_vector_for(cluster)
-            arrival = self._global_arrival_for(cluster)
-            for device in cluster.members:
-                if self._fault is not None and self._fault.is_crashed(device):
-                    continue  # crash-stopped: no compute, no upload
-                jobs.append(
-                    TrainJob(
-                        device_id=device,
-                        start_vector=start,
-                        arrival=arrival,
-                        state=self.trainers[device].export_state_delta(),
-                    )
-                )
-        results = self._pool.train_round(jobs)
-        local_models: dict[int, np.ndarray] = {}
-        losses: list[float] = []
-        for job in jobs:  # fixed reduction order == serial iteration order
-            result = results[job.device_id]
-            trainer = self.trainers[job.device_id]
-            trainer.import_state_delta(result.state)
-            trainer.model.set_flat(result.vector)
-            trainer.last_losses = list(result.losses)
-            local_models[job.device_id] = result.vector
-            losses.extend(result.losses)
-        return local_models, losses
+                work.append((device, start, arrival))
+        return self._fleet.train(work)
 
     def _start_vector_for(self, cluster: Cluster) -> np.ndarray:
         if not self.config.pipeline_mode or self.round_index == 0:

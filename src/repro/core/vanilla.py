@@ -22,7 +22,7 @@ from repro.data.dataset import Dataset
 from repro.nn.losses import SoftmaxCrossEntropy
 from repro.nn.metrics import accuracy
 from repro.nn.model import Sequential
-from repro.core.pool import DeviceSpec, LocalTrainingPool, TrainJob
+from repro.core.pool import LocalFleet
 from repro.parallel import resolve_workers
 from repro.utils.seeding import SeedSequenceFactory
 
@@ -95,8 +95,8 @@ class VanillaFLTrainer:
         }
         self._client_order = sorted(self.trainers)
         self.workers = resolve_workers(workers)
-        self._pool: LocalTrainingPool | None = None
         self._eval_model = model_template.clone()
+        self._fleet = LocalFleet(self.trainers, self._eval_model, self.workers)
         self._eval_loss = SoftmaxCrossEntropy()
         self.global_model = model_template.get_flat()
         self.history: list[VanillaRoundRecord] = []
@@ -112,9 +112,7 @@ class VanillaFLTrainer:
 
     def close(self) -> None:
         """Shut down the parallel training pool, if one was created."""
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
+        self._fleet.close()
 
     def __enter__(self) -> "VanillaFLTrainer":
         return self
@@ -128,45 +126,10 @@ class VanillaFLTrainer:
         except Exception:
             pass
 
-    def _local_training(self) -> tuple[dict[int, np.ndarray], list[float]]:
-        uploads: dict[int, np.ndarray] = {}
-        losses: list[float] = []
-        if self.workers > 1:
-            if self._pool is None:
-                specs = [
-                    DeviceSpec(cid, self.trainers[cid].dataset, self.config)
-                    for cid in self._client_order
-                ]
-                self._pool = LocalTrainingPool(
-                    self._eval_model, specs, self.workers
-                )
-            jobs = [
-                TrainJob(
-                    device_id=cid,
-                    start_vector=self.global_model,
-                    arrival=None,
-                    state=self.trainers[cid].export_state_delta(),
-                )
-                for cid in self._client_order
-            ]
-            results = self._pool.train_round(jobs)
-            for cid in self._client_order:  # fixed reduction order
-                result = results[cid]
-                trainer = self.trainers[cid]
-                trainer.import_state_delta(result.state)
-                trainer.model.set_flat(result.vector)
-                trainer.last_losses = list(result.losses)
-                uploads[cid] = result.vector
-                losses.extend(result.losses)
-            return uploads, losses
-        for cid in self._client_order:
-            trainer = self.trainers[cid]
-            uploads[cid] = trainer.train_round(self.global_model)
-            losses.extend(trainer.last_losses)
-        return uploads, losses
-
     def run_round(self, evaluate: bool = True) -> VanillaRoundRecord:
-        uploads, losses = self._local_training()
+        uploads, losses = self._fleet.train(
+            [(cid, self.global_model, None) for cid in self._client_order]
+        )
 
         if self.model_attack is not None and self.byzantine:
             honest = [c for c in self._client_order if c not in self.byzantine]

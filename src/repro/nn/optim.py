@@ -85,22 +85,13 @@ class SGD:
         if self.momentum > 0.0:
             self._velocity = [np.zeros_like(p) for p in model.params]
 
-    def export_state(self) -> dict[str, object]:
-        """Snapshot the cross-round mutable state (schedule step counter
-        and momentum buffers) for shipping across process boundaries."""
-        velocity = None
-        if self._velocity is not None:
-            velocity = [v.copy() for v in self._velocity]
-        return {"step_count": self.step_count, "velocity": velocity}
-
     def export_slots(self) -> tuple[int, "list[np.ndarray] | None"]:
-        """The mutable slots *without* defensive copies, for transport.
+        """The cross-round mutable state (schedule step counter and
+        momentum buffers) for shipping across process boundaries.
 
-        Used by the parallel pool's state-delta path: the tuple is
-        serialised (or its buffers shipped) immediately, so copying the
-        momentum arrays first — as :meth:`export_state` must, to produce
-        an independent snapshot — would only double the traffic.  The
-        caller must not mutate the returned buffers.
+        No defensive copies: the tuple is serialised immediately, so
+        copying the momentum arrays first would only double the traffic.
+        The caller must not mutate the returned buffers.
         """
         return self.step_count, self._velocity
 
@@ -117,15 +108,6 @@ class SGD:
             self._velocity = None
         else:
             self._velocity = [np.asarray(v, dtype=np.float64) for v in velocity]
-
-    def import_state(self, state: dict[str, object]) -> None:
-        """Restore a snapshot taken by :meth:`export_state`."""
-        self.step_count = int(state["step_count"])  # type: ignore[arg-type]
-        velocity = state["velocity"]
-        if velocity is None:
-            self._velocity = None
-        else:
-            self._velocity = [np.array(v, copy=True) for v in velocity]
 
     def step(self) -> float:
         """Apply one update; returns the learning rate used."""

@@ -12,13 +12,14 @@ provides two fan-out surfaces, both with a hard bit-identity contract:
   (:mod:`repro.obs.ambient`), so trace and audit streams are
   byte-identical for every worker count too;
 
-* **round-level** — :class:`repro.core.pool.LocalTrainingPool` (in
+* **round-level** — :class:`repro.core.pool.LocalFleet` (in
   :mod:`repro.core`, because it replays :class:`~repro.core.local.LocalTrainer`
-  rounds) runs per-device local SGD steps in persistent spawn workers
-  built on this module's :func:`spawn_context`.  Device datasets and
-  model replicas ship once at pool creation; every round the parent
-  sends each device's *round-trip state* (RNG bit-generator state,
-  optimiser state, start vector, global-arrival merge) and receives the
+  rounds) runs a round's per-device local SGD in-process or in
+  persistent spawn workers built on this module's :func:`spawn_context`.
+  Device datasets and model replicas ship once at pool creation; every
+  round the parent publishes each device's start vector to a
+  :class:`ParameterSlab`, sends its *round-trip state* (RNG stream
+  position, optimiser slots, global-arrival merge) and receives the
   trained vector, per-iteration losses and the advanced state back, so
   the parent-side trainers remain the single source of truth,
   byte-for-byte equal to a serial run after every round.

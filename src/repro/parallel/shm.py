@@ -1,12 +1,10 @@
 """Shared-memory parameter slabs for round-level fan-out.
 
-:class:`repro.core.pool.LocalTrainingPool` used to pickle every device's
-start vector into its :class:`~repro.core.pool.TrainJob` and every
-trained vector back out of its :class:`~repro.core.pool.TrainResult` —
-two full copies of the parameter set through the pipe per round.  A
-:class:`ParameterSlab` replaces that traffic with one POSIX
-shared-memory segment per direction, viewed as a device-ordered
-``(rows, dim)`` float64 ndarray:
+:class:`repro.core.pool.LocalTrainingPool` moves every device's start
+vector to its workers, and every trained vector back, through a
+:class:`ParameterSlab`: one POSIX shared-memory segment per direction,
+viewed as a device-ordered ``(rows, dim)`` float64 ndarray, so the
+parameter set never crosses the pipe:
 
 * **Deterministic layout.**  Row ``i`` belongs to the ``i``-th device of
   the pool's (sorted) spec list, fixed for the life of the pool.  The
