@@ -1,7 +1,8 @@
 """Consensus backends: compute time, message bills, async execution costs.
 
-Complements :mod:`bench_table4_schemes`: Table II says consensus methods
-"impose heavy communication costs"; this bench reports compute time and
+Complements the ``table4_schemes`` artefact of
+:mod:`bench_paper_artefacts`: Table II says consensus methods "impose
+heavy communication costs"; this bench reports compute time and
 the per-execution message bill for every registered CBA backend at
 top-cluster scale, then profiles the message-driven ``"acs"`` backend
 across membership sizes, consensus-level adversaries and lossy links —

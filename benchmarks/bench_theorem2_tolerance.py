@@ -1,15 +1,15 @@
-"""Regenerate the Theorem 2 analysis and its empirical verification.
+"""Regenerate the Theorem 2 analysis and its exact verification.
 
-Three parts:
+Two parts:
 
 1. the closed-form per-level tolerance table, including the paper's
    57.8125 % worked example (gamma1 = gamma2 = 25 %, three levels);
 2. brute-force validation — type-I counts on explicitly generated p-ratio
    two-type m-ary trees must equal Theorem 1's closed form, and the
-   honest floor must match Theorem 2;
-3. the empirical cliff — ABD-HFL's final accuracy across malicious
-   fractions straddling the bound (reduced scale): high and flat below
-   it, degrading beyond it, while the closed form predicts the location.
+   honest floor must match Theorem 2.
+
+The empirical cliff (ABD-HFL's accuracy across the bound) is the
+``tolerance`` scenario spec, benched in ``bench_paper_artefacts.py``.
 
 Also regenerates the ACSM (Theorem 3) bound check on random hierarchies.
 """
@@ -19,8 +19,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.experiments import ExperimentConfig
-from repro.experiments.theorem2 import run_theorem2
 from repro.topology.analysis import (
     acsm_max_byzantine_fraction,
     brute_force_type1_counts,
@@ -60,42 +58,6 @@ def test_theorem2_closed_form_vs_brute_force(benchmark):
     )
     emit_report("theorem2_closed_form", report)
     assert paper_worked_example() == pytest.approx(0.578125)
-
-
-def test_theorem2_empirical_cliff(benchmark):
-    config = ExperimentConfig(n_rounds=20)
-    bound, points = benchmark.pedantic(
-        run_theorem2,
-        args=(config,),
-        kwargs={"fractions": (0.0, 0.40, 0.578, 0.95)},
-        rounds=1,
-        iterations=1,
-    )
-    rows = [
-        [
-            format_percent(p.malicious_fraction),
-            format_percent(p.accuracy),
-            "below" if p.below_bound else "ABOVE",
-        ]
-        for p in points
-    ]
-    emit_report(
-        "theorem2_empirical",
-        format_table(
-            ["malicious", "ABD-HFL accuracy", "vs bound"],
-            rows,
-            title=f"Empirical tolerance (bound = {format_percent(bound, 4)})",
-        ),
-    )
-    by_frac = {p.malicious_fraction: p.accuracy for p in points}
-    # flat below the bound...
-    assert by_frac[0.40] > by_frac[0.0] - 0.15
-    assert by_frac[0.578] > 0.5
-    # ...and clearly degraded far beyond it, once every top-level subtree
-    # is majority-poisoned.  (Between the bound and that point the
-    # adaptive voting consensus keeps ABD-HFL above the fixed-gamma1
-    # worst-case guarantee — the same effect behind the paper's 65 % row.)
-    assert by_frac[0.95] < by_frac[0.0] - 0.2
 
 
 def test_theorem3_acsm_bound(benchmark):

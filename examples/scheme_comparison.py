@@ -16,16 +16,16 @@ from __future__ import annotations
 from dataclasses import replace
 
 from repro.core.schemes import SCHEME_DESCRIPTIONS
-from repro.experiments import ExperimentConfig
-from repro.experiments.schemes import run_scheme_comparison
+from repro.scenario import load_shipped_spec, run_scenario
 from repro.utils.tables import format_percent, format_table
 
 
 def main() -> None:
-    config = replace(ExperimentConfig(n_rounds=15), malicious_fraction=0.30)
-    outcomes = run_scheme_comparison(config)
+    # The shipped Tables III/IV spec (30 % Type I) at 15 rounds.
+    schemes = load_shipped_spec("schemes")
+    spec = replace(schemes, training=replace(schemes.training, n_rounds=15))
     rows = []
-    for o in outcomes:
+    for o in run_scenario(spec).cells:
         desc = SCHEME_DESCRIPTIONS[o.scheme]
         rows.append(
             [

@@ -1,35 +1,28 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Commands map one-to-one onto the experiment runners:
-
-``table5``    — run (a slice of) the Table V accuracy grid
-``figure3``   — convergence curves for one scenario
-``schemes``   — scheme 1-4 robustness/cost comparison
-``pipeline``  — event-driven Fig. 2 timing run + overall efficiency
-``tolerance`` — Theorem 2 closed form + optional empirical sweep
-``matrix``    — attack x defence robustness matrix
-``scenario``  — run / list / validate declarative scenario specs
-``lint``      — run the abdlint static-analysis engine over the tree
+``scenario``  — run / list / validate declarative scenario specs; every
+paper artefact is a shipped spec (``scenario run table5 | figure3 |
+schemes | backdoor | tolerance | pipeline | defence_matrix ...``) — to
+vary a parameter, copy the shipped TOML and edit it
 ``report``    — render a trace file into the Table-V-style breakdown
 ``audit``     — forensic detection report / cross-run diff from audit
 records
+``lint``      — run the abdlint static-analysis engine over the tree
 
-Every command accepts ``--rounds``, ``--seed`` and an optional ``--out``
-directory for persisted results.  Defaults are the reduced scale;
-``--paper-scale`` switches to the full Appendix D configuration.
 ``--trace PATH`` records a :mod:`repro.obs` trace of the command to
 ``PATH`` (equivalent to running under ``REPRO_TRACE=PATH``); the trace
 can then be inspected with ``python -m repro report PATH``.
 ``--audit PATH`` records :mod:`repro.obs.audit` defence decision
 records to ``PATH`` (equivalent to ``REPRO_AUDIT=PATH``) and writes the
 run manifest next to them; inspect with ``python -m repro audit PATH``.
+``scenario run --out DIR`` gathers report, cells, manifest and whichever
+of the two streams is on into one run directory.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 __all__ = ["main", "build_parser"]
@@ -40,14 +33,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro",
         description="ABD-HFL reproduction experiment runner",
     )
-    parser.add_argument("--seed", type=int, default=2024)
-    parser.add_argument("--rounds", type=int, default=None, help="global rounds")
     parser.add_argument("--out", type=Path, default=None, help="results directory")
-    parser.add_argument(
-        "--paper-scale",
-        action="store_true",
-        help="use the full Appendix D configuration (slow)",
-    )
     parser.add_argument(
         "--trace",
         type=Path,
@@ -68,75 +54,10 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="worker processes for parallelisable commands (table5, matrix);"
+        help="worker processes a scenario run shards its cells across;"
         " results are bit-identical for every N (default: REPRO_WORKERS or 1)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    t5 = sub.add_parser("table5", help="Table V accuracy grid")
-    t5.add_argument("--distribution", choices=["iid", "noniid", "both"], default="iid")
-    t5.add_argument("--attack", choices=["type1", "type2", "both"], default="type1")
-    t5.add_argument(
-        "--fractions",
-        type=float,
-        nargs="+",
-        default=[0.0, 0.3, 0.5, 0.578, 0.65],
-    )
-    t5.add_argument("--repeats", type=int, default=1)
-
-    f3 = sub.add_parser("figure3", help="convergence curves")
-    f3.add_argument("--distribution", choices=["iid", "noniid"], default="iid")
-    f3.add_argument("--attack", choices=["type1", "type2"], default="type1")
-    f3.add_argument("--fraction", type=float, default=0.5)
-    f3.add_argument("--repeats", type=int, default=2)
-
-    sc = sub.add_parser("schemes", help="scheme 1-4 comparison")
-    sc.add_argument("--fraction", type=float, default=0.3)
-
-    pl = sub.add_parser("pipeline", help="event-driven pipeline timing")
-    pl.add_argument("--flag-level", type=int, default=1)
-    pl.add_argument("--global-delay", type=float, default=25.0)
-
-    tol = sub.add_parser("tolerance", help="Theorem 2 analysis")
-    tol.add_argument("--gamma1", type=float, default=0.25)
-    tol.add_argument("--gamma2", type=float, default=0.25)
-    tol.add_argument("--levels", type=int, default=5)
-    tol.add_argument("--empirical", action="store_true")
-
-    mx = sub.add_parser("matrix", help="attack x defence matrix")
-    mx.add_argument("--byzantine-fraction", type=float, default=0.25)
-    mx.add_argument(
-        "--consensus",
-        default=None,
-        help="compose a CBA backend in front of every defence "
-        "(e.g. 'acs', 'voting'); the defence aggregates only the "
-        "updates the backend accepted",
-    )
-    mx.add_argument(
-        "--consensus-adversary",
-        default="none",
-        choices=("none", "equivocate", "withhold", "crash_midway"),
-        help="Byzantine behaviour on the consensus traffic itself "
-        "('acs' backend only)",
-    )
-    mx.add_argument(
-        "--drop",
-        type=float,
-        default=0.0,
-        metavar="FRACTION",
-        help="fraction of honest members crash-silent per cell",
-    )
-    mx.add_argument(
-        "--drop-messages",
-        type=float,
-        default=0.0,
-        metavar="PROB",
-        help="per-message loss probability on consensus traffic "
-        "('acs' backend only; retransmission applies)",
-    )
-    mx.add_argument("--n-total", type=int, default=20, help="members per cell")
-    mx.add_argument("--dim", type=int, default=64, help="update dimension")
-    mx.add_argument("--trials", type=int, default=8, help="trials per cell")
 
     sn = sub.add_parser(
         "scenario", help="declarative scenario specs (repro.scenario)"
@@ -166,8 +87,8 @@ def build_parser() -> argparse.ArgumentParser:
         dest="out",
         default=argparse.SUPPRESS,
         metavar="DIR",
-        help="persist report/cells/manifest (+ audit stream when auditing "
-        "is on) under DIR",
+        help="persist report/cells/manifest (+ the audit / trace streams "
+        "when they are on) under DIR",
     )
     sn_sub.add_parser("list", help="list the shipped canonical specs")
     sn_validate = sn_sub.add_parser(
@@ -267,197 +188,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _base_config(args: argparse.Namespace):
-    from repro.experiments import ExperimentConfig
-
-    cfg = (
-        ExperimentConfig.paper_scale(seed=args.seed)
-        if args.paper_scale
-        else ExperimentConfig(seed=args.seed)
-    )
-    if args.rounds is not None:
-        cfg = replace(cfg, n_rounds=args.rounds)
-    return cfg
-
-
-def _cmd_table5(args: argparse.Namespace) -> int:
-    from repro.experiments.table5 import format_table5, run_table5
-    from repro.experiments.io import save_cells_json
-
-    cfg = _base_config(args)
-    distributions = {
-        "iid": (True,),
-        "noniid": (False,),
-        "both": (True, False),
-    }[args.distribution]
-    attacks = ("type1", "type2") if args.attack == "both" else (args.attack,)
-    cells = run_table5(
-        cfg,
-        fractions=tuple(args.fractions),
-        distributions=distributions,
-        attacks=attacks,
-        n_runs=args.repeats,
-        workers=args.workers,
-    )
-    print(format_table5(cells))
-    if args.out:
-        path = save_cells_json(args.out / "table5.json", cells)
-        print(f"saved {path}")
-    return 0
-
-
-def _cmd_figure3(args: argparse.Namespace) -> int:
-    from repro.experiments import run_figure3
-    from repro.experiments.io import save_curves_npz
-    from repro.utils.tables import format_percent
-
-    cfg = replace(
-        _base_config(args).for_distribution(args.distribution == "iid"),
-        attack=args.attack,
-        malicious_fraction=args.fraction,
-    )
-    abd, van = run_figure3(cfg, n_runs=args.repeats)
-    for r in range(0, len(abd.mean), max(1, len(abd.mean) // 12)):
-        print(
-            f"round {r:4d}: ABD-HFL {format_percent(abd.mean[r])} "
-            f"vanilla {format_percent(van.mean[r])}"
-        )
-    print(
-        f"final: ABD-HFL {format_percent(abd.final_accuracy)} vs "
-        f"vanilla {format_percent(van.final_accuracy)}"
-    )
-    if args.out:
-        path = save_curves_npz(
-            args.out / "figure3.npz",
-            rounds=abd.rounds,
-            abdhfl_mean=abd.mean,
-            abdhfl_ci=abd.ci_half_width,
-            vanilla_mean=van.mean,
-            vanilla_ci=van.ci_half_width,
-        )
-        print(f"saved {path}")
-    return 0
-
-
-def _cmd_schemes(args: argparse.Namespace) -> int:
-    from repro.experiments.schemes import run_scheme_comparison
-    from repro.utils.tables import format_percent, format_table
-
-    cfg = replace(_base_config(args), malicious_fraction=args.fraction)
-    outcomes = run_scheme_comparison(cfg)
-    rows = [
-        [
-            o.scheme,
-            f"{o.partial_kind}/{o.global_kind}",
-            format_percent(o.final_accuracy),
-            o.analytic_model_messages,
-            o.analytic_scalar_messages,
-        ]
-        for o in outcomes
-    ]
-    print(
-        format_table(
-            ["scheme", "partial/global", "accuracy", "model msgs", "scalar msgs"],
-            rows,
-        )
-    )
-    return 0
-
-
-def _cmd_pipeline(args: argparse.Namespace) -> int:
-    from repro.pipeline.event_run import EventDrivenRun, TimingConfig
-    from repro.pipeline.overall import overall_efficiency
-    from repro.sim.latency import FixedLatency, LogNormalLatency
-    from repro.topology.tree import build_ecsm
-
-    hierarchy = build_ecsm(n_levels=3, cluster_size=4, n_top=4)
-    config = TimingConfig(
-        local_compute=LogNormalLatency(median=10.0, sigma=0.3),
-        partial_aggregate=FixedLatency(1.0),
-        global_aggregate=FixedLatency(args.global_delay),
-        link=FixedLatency(0.2),
-    )
-    run = EventDrivenRun(
-        hierarchy, config, flag_level=args.flag_level, seed=args.seed
-    )
-    timings = run.run(args.rounds or 15)
-    result = overall_efficiency(timings)
-    print(f"overall efficiency (time-weighted): {result.time_weighted:.3f}")
-    print(f"plain mean of per-cluster nu:       {result.unweighted_mean:.3f}")
-    print(f"total waiting / overlapped time:    {result.total_waiting:.1f} / "
-          f"{result.total_overlapped:.1f}")
-    print("network traffic:")
-    print(run.channel.stats.summary())
-    return 0
-
-
-def _cmd_tolerance(args: argparse.Namespace) -> int:
-    from repro.experiments.theorem2 import run_theorem2
-    from repro.topology.analysis import max_byzantine_fraction
-    from repro.utils.tables import format_percent, format_table
-
-    rows = [
-        [
-            level,
-            format_percent(
-                max_byzantine_fraction(args.gamma1, args.gamma2, level), 4
-            ),
-        ]
-        for level in range(args.levels)
-    ]
-    print(
-        format_table(
-            ["bottom level", "max tolerated Byzantine"],
-            rows,
-            title=f"Theorem 2 (gamma1={args.gamma1}, gamma2={args.gamma2})",
-        )
-    )
-    if args.empirical:
-        cfg = _base_config(args)
-        bound, points = run_theorem2(
-            cfg, gamma1=args.gamma1, gamma2=args.gamma2
-        )
-        print(f"\nempirical sweep (bound {format_percent(bound, 4)}):")
-        for p in points:
-            marker = "" if p.below_bound else "  <-- above bound"
-            print(
-                f"  {format_percent(p.malicious_fraction):>6}: "
-                f"{format_percent(p.accuracy)}{marker}"
-            )
-    return 0
-
-
-def _cmd_matrix(args: argparse.Namespace) -> int:
-    from repro.experiments.matrix import DEFAULT_ATTACKS, DEFAULT_DEFENCES
-    from repro.scenario import FaultSpec, ScenarioRunner, matrix_spec
-
-    faults = None
-    if args.drop_messages > 0:
-        faults = FaultSpec(seed=args.seed, drop_probability=args.drop_messages)
-    spec = matrix_spec(
-        name="matrix-cli",
-        defences=DEFAULT_DEFENCES,
-        attacks=DEFAULT_ATTACKS,
-        fractions=(args.byzantine_fraction,),
-        seed=args.seed,
-        consensus=args.consensus,
-        consensus_adversary=args.consensus_adversary,
-        faults=faults,
-        drop_fraction=args.drop,
-        n_total=args.n_total,
-        dim=args.dim,
-        n_trials=args.trials,
-    )
-    result = ScenarioRunner(workers=args.workers).run(spec)
-    print(result.table)
-    return 0
-
-
 def _cmd_scenario(args: argparse.Namespace) -> int:
     from repro.scenario import (
         ScenarioRunner,
+        expand_cells,
         load_shipped_spec,
+        persist_result,
         resolve_spec,
+        run_manifest,
         shipped_spec_names,
     )
 
@@ -465,7 +203,7 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
         for name in shipped_spec_names():
             spec = load_shipped_spec(name)
             summary = spec.description or spec.kind
-            print(f"{name:24s} {spec.kind:16s} {summary}")
+            print(f"{name:24s} {spec.kind:18s} {summary}")
         return 0
     if args.scenario_command == "validate":
         refs = args.specs or shipped_spec_names()
@@ -477,14 +215,16 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
                 print(f"{ref}: INVALID - {exc}")
                 failures += 1
             else:
-                print(f"{ref}: ok ({spec.kind}, {len(spec.fractions)} fractions)")
+                print(f"{ref}: ok ({spec.kind}, {len(expand_cells(spec))} cells)")
         return 1 if failures else 0
-    spec = resolve_spec(args.spec)
-    result = ScenarioRunner(workers=getattr(args, "workers", None)).run(spec)
+    try:
+        spec = resolve_spec(args.spec)
+    except ValueError as exc:
+        print(f"repro scenario: {exc}", file=sys.stderr)
+        return 2
+    result = ScenarioRunner(workers=args.workers).run(spec)
     print(result.table)
     if args.out:
-        from repro.scenario.runner import persist_result, run_manifest
-
         paths = persist_result(
             result,
             args.out,
@@ -647,12 +387,6 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 
 
 _COMMANDS = {
-    "table5": _cmd_table5,
-    "figure3": _cmd_figure3,
-    "schemes": _cmd_schemes,
-    "pipeline": _cmd_pipeline,
-    "tolerance": _cmd_tolerance,
-    "matrix": _cmd_matrix,
     "scenario": _cmd_scenario,
     "lint": _cmd_lint,
     "report": _cmd_report,
@@ -671,7 +405,6 @@ def _command_manifest(args: argparse.Namespace) -> "dict[str, object]":
     return _audit.build_manifest(
         command=args.command,
         spec=dict(sorted(vars(args).items())),
-        seed=getattr(args, "seed", None),
         registries=collect_registries(),
     )
 

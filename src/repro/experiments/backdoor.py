@@ -7,8 +7,9 @@ relabels them to a target class; the attack's currency is the
 clean accuracy should remain untouched (that stealth is what makes
 backdoors dangerous).
 
-:func:`run_backdoor` trains ABD-HFL and vanilla FL with backdoor
-adversaries and reports (clean accuracy, ASR) for both.
+:func:`run_backdoor_cell` — the single-cell primitive of the ``backdoor``
+scenario kind (``specs/backdoor.toml``) — trains ABD-HFL and vanilla FL
+with backdoor adversaries and reports (clean accuracy, ASR) for both.
 """
 
 from __future__ import annotations
@@ -21,27 +22,35 @@ from repro.data.dataset import Dataset
 from repro.data.poisoning import backdoor_trigger
 from repro.experiments.setup import (
     ExperimentConfig,
-    build_abdhfl_trainer,
-    build_vanilla_trainer,
+    ExperimentData,
     prepare_data,
+    train_systems,
 )
 from repro.nn.metrics import accuracy
 from repro.nn.model import Sequential
 from repro.utils.seeding import seeded_generator
 
-__all__ = ["BackdoorOutcome", "attack_success_rate", "run_backdoor"]
+__all__ = [
+    "TARGET_LABEL",
+    "BackdoorCell",
+    "attack_success_rate",
+    "run_backdoor_cell",
+]
 
+TARGET_LABEL = 7
 TRIGGER_VALUE = 1.5
 N_TRIGGER_FEATURES = 4
 
 
 @dataclass
-class BackdoorOutcome:
-    """Clean accuracy and attack success rate of one system."""
+class BackdoorCell:
+    """Clean accuracy and attack success rate of both systems."""
 
-    label: str
-    clean_accuracy: float
-    attack_success_rate: float
+    malicious_fraction: float
+    abdhfl_accuracy: float
+    abdhfl_asr: float
+    vanilla_accuracy: float
+    vanilla_asr: float
 
 
 def _stamp(X: np.ndarray) -> np.ndarray:
@@ -65,47 +74,45 @@ def attack_success_rate(
     return float(np.mean(preds == target_label))
 
 
-def run_backdoor(
-    config: ExperimentConfig | None = None,
-    target_label: int = 7,
-    poison_fraction: float = 1.0,
-) -> tuple[BackdoorOutcome, BackdoorOutcome]:
-    """Train both systems with backdoor adversaries; returns outcomes.
+def _prepare_backdoor_data(config: ExperimentConfig) -> ExperimentData:
+    """:func:`prepare_data` with every Byzantine shard stamped+relabelled."""
+    data = prepare_data(config)
+    rng = seeded_generator(config.seed + 1)
+    for cid in data.byzantine:
+        data.client_datasets[cid] = backdoor_trigger(
+            data.client_datasets[cid],
+            target_label=TARGET_LABEL,
+            trigger_value=TRIGGER_VALUE,
+            n_trigger_features=N_TRIGGER_FEATURES,
+            rng=rng,
+        )
+    return data
+
+
+def run_backdoor_cell(config: ExperimentConfig) -> BackdoorCell:
+    """Train both systems with backdoor adversaries.
 
     The Byzantine clients' shards are stamped+relabelled; everything else
     follows the standard Table-V pipeline (Multi-Krum partials, voting
     consensus at the top for ABD-HFL; Multi-Krum server for vanilla).
     """
-    config = config or ExperimentConfig(malicious_fraction=0.25)
-    base = replace(config, attack="none")  # poisoning applied manually below
-    data = prepare_data(base)
-    rng = seeded_generator(base.seed + 1)
-    for cid in data.byzantine:
-        data.client_datasets[cid] = backdoor_trigger(
-            data.client_datasets[cid],
-            target_label=target_label,
-            trigger_value=TRIGGER_VALUE,
-            n_trigger_features=N_TRIGGER_FEATURES,
-            poison_fraction=poison_fraction,
-            rng=rng,
-        )
-
-    outcomes = []
-    for label, builder in (
-        ("ABD-HFL", build_abdhfl_trainer),
-        ("Vanilla FL", build_vanilla_trainer),
-    ):
-        trainer = builder(base, data)
-        trainer.run(base.n_rounds)
+    # prepare_data must not poison: the trigger is stamped on afterwards.
+    base = replace(config, attack="none")
+    [(data, trainers)] = train_systems(base, prepare=_prepare_backdoor_data)
+    scores: dict[str, tuple[float, float]] = {}
+    for system, trainer in trainers.items():
         eval_model = data.model_template.clone()
         eval_model.set_flat(trainer.global_model)
-        clean = accuracy(eval_model.predict(data.test_set.X), data.test_set.y)
-        asr = attack_success_rate(
-            eval_model, trainer.global_model, data.test_set, target_label
+        scores[system] = (
+            accuracy(eval_model.predict(data.test_set.X), data.test_set.y),
+            attack_success_rate(
+                eval_model, trainer.global_model, data.test_set, TARGET_LABEL
+            ),
         )
-        outcomes.append(
-            BackdoorOutcome(
-                label=label, clean_accuracy=clean, attack_success_rate=asr
-            )
-        )
-    return outcomes[0], outcomes[1]
+    return BackdoorCell(
+        malicious_fraction=config.malicious_fraction,
+        abdhfl_accuracy=scores["abdhfl"][0],
+        abdhfl_asr=scores["abdhfl"][1],
+        vanilla_accuracy=scores["vanilla"][0],
+        vanilla_asr=scores["vanilla"][1],
+    )

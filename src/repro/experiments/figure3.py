@@ -4,23 +4,20 @@ For selected attack scenarios, train both systems for every global round,
 repeat ``n_runs`` times with sibling seeds, and report per-round mean
 accuracy plus a normal-approximation confidence interval — the gray bands
 of the paper's figure.
+
+:func:`run_convergence_cell` is the single-cell primitive of the
+``convergence`` scenario kind (``specs/figure3.toml``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.experiments.setup import (
-    ExperimentConfig,
-    build_abdhfl_trainer,
-    build_vanilla_trainer,
-    prepare_data,
-)
-from repro.utils.seeding import iter_run_seeds
+from repro.experiments.setup import ExperimentConfig, train_systems
 
-__all__ = ["ConvergenceCurve", "run_figure3"]
+__all__ = ["ConvergenceCurve", "ConvergenceCell", "run_convergence_cell"]
 
 
 @dataclass
@@ -28,9 +25,6 @@ class ConvergenceCurve:
     """Per-round accuracy trajectory of one system in one scenario."""
 
     label: str
-    iid: bool
-    attack: str
-    malicious_fraction: float
     rounds: np.ndarray           # [R]
     mean: np.ndarray             # [R]
     ci_half_width: np.ndarray    # [R] 95% normal CI half-width
@@ -41,11 +35,7 @@ class ConvergenceCurve:
         return float(self.mean[-1])
 
 
-def _curve(
-    label: str,
-    config: ExperimentConfig,
-    trajectories: list[list[float]],
-) -> ConvergenceCurve:
+def _curve(label: str, trajectories: tuple[tuple[float, ...], ...]) -> ConvergenceCurve:
     runs = np.asarray(trajectories)
     mean = runs.mean(axis=0)
     if runs.shape[0] > 1:
@@ -54,9 +44,6 @@ def _curve(
         sem = np.zeros_like(mean)
     return ConvergenceCurve(
         label=label,
-        iid=config.iid,
-        attack=config.attack,
-        malicious_fraction=config.malicious_fraction,
         rounds=np.arange(runs.shape[1]),
         mean=mean,
         ci_half_width=1.96 * sem,
@@ -64,25 +51,38 @@ def _curve(
     )
 
 
-def run_figure3(
-    config: ExperimentConfig,
-    n_runs: int = 3,
-) -> tuple[ConvergenceCurve, ConvergenceCurve]:
-    """One scenario's pair of curves: (ABD-HFL, vanilla FL)."""
-    if n_runs <= 0:
-        raise ValueError(f"n_runs must be positive, got {n_runs}")
-    abd_runs: list[list[float]] = []
-    van_runs: list[list[float]] = []
-    for run_seed in iter_run_seeds(config.seed, n_runs):
-        run_cfg = replace(config, seed=run_seed)
-        data = prepare_data(run_cfg)
-        abd = build_abdhfl_trainer(run_cfg, data)
-        abd.run(run_cfg.n_rounds)
-        abd_runs.append([r.test_accuracy for r in abd.history])
-        van = build_vanilla_trainer(run_cfg, data)
-        van.run(run_cfg.n_rounds)
-        van_runs.append([r.test_accuracy for r in van.history])
-    return (
-        _curve("ABD-HFL", config, abd_runs),
-        _curve("Vanilla FL", config, van_runs),
+@dataclass
+class ConvergenceCell:
+    """One scenario's raw per-run accuracy trajectories for both systems
+    (plain tuples, so cells compare exactly and persist as JSON); the
+    mean/CI curves are derived views."""
+
+    iid: bool
+    attack: str
+    malicious_fraction: float
+    abdhfl_runs: tuple[tuple[float, ...], ...]   # [n_runs][R]
+    vanilla_runs: tuple[tuple[float, ...], ...]  # [n_runs][R]
+
+    @property
+    def abdhfl(self) -> ConvergenceCurve:
+        return _curve("ABD-HFL", self.abdhfl_runs)
+
+    @property
+    def vanilla(self) -> ConvergenceCurve:
+        return _curve("Vanilla FL", self.vanilla_runs)
+
+
+def run_convergence_cell(config: ExperimentConfig, n_runs: int) -> ConvergenceCell:
+    """Train both systems ``n_runs`` times, keeping every round's accuracy."""
+    abd_runs: list[tuple[float, ...]] = []
+    van_runs: list[tuple[float, ...]] = []
+    for _, trainers in train_systems(config, n_runs):
+        abd_runs.append(tuple(r.test_accuracy for r in trainers["abdhfl"].history))
+        van_runs.append(tuple(r.test_accuracy for r in trainers["vanilla"].history))
+    return ConvergenceCell(
+        iid=config.iid,
+        attack=config.attack,
+        malicious_fraction=config.malicious_fraction,
+        abdhfl_runs=tuple(abd_runs),
+        vanilla_runs=tuple(van_runs),
     )

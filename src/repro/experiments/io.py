@@ -18,13 +18,10 @@ import numpy as np
 
 from repro.core.trainer import RoundRecord
 from repro.core.vanilla import VanillaRoundRecord
-from repro.experiments.table5 import Table5Cell
 
 __all__ = [
     "save_history_csv",
     "load_history_csv",
-    "save_cells_json",
-    "load_cells_json",
     "save_curves_npz",
     "load_curves_npz",
     "save_records_csv",
@@ -70,22 +67,6 @@ def load_history_csv(path: str | Path) -> list[dict[str, float]]:
                 parsed[key] = float(row[key])
             out.append(parsed)
     return out
-
-
-def save_cells_json(path: str | Path, cells: Sequence[Table5Cell]) -> Path:
-    """Persist Table-V-style grid cells as JSON."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    payload = [asdict(c) for c in cells]
-    path.write_text(json.dumps(payload, indent=2), encoding="utf-8")
-    return path
-
-
-def load_cells_json(path: str | Path) -> list[Table5Cell]:
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(data, list):
-        raise ValueError(f"{path} does not contain a cell list")
-    return [Table5Cell(**cell) for cell in data]
 
 
 def save_curves_npz(path: str | Path, **curves: Any) -> Path:

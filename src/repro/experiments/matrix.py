@@ -9,11 +9,10 @@ metric is the Euclidean gap between the aggregate and the true mean,
 normalised by the honest noise level.  A gap near 1 means "as good as an
 honest average"; gaps growing with the attack mean the defence broke.
 
-:func:`gradient_gap` — the single-cell primitive — lives here; the sweep
-entrypoints (:func:`run_defence_matrix`, :func:`breakdown_curve`) are
-thin shims over :mod:`repro.scenario` specs, kept for callers and pinned
-bit-identical to the spec-driven path by
-``tests/test_scenario_equivalence.py``.
+:func:`gradient_gap` is the single-cell primitive the ``defence_matrix``
+and ``breakdown_curve`` scenario kinds (:mod:`repro.scenario`) fan out;
+:func:`defence_options_for` derives a rule's options from the Byzantine
+fraction each cell operates at.
 """
 
 from __future__ import annotations
@@ -28,39 +27,28 @@ from repro.consensus import get_consensus
 from repro.consensus.base import ConsensusProtocol
 from repro.faults.plan import FaultPlan
 from repro.obs import audit
-from repro.scenario.options import defence_options_for
-from repro.scenario.runner import ScenarioRunner
-from repro.scenario.spec import matrix_spec
 from repro.utils.seeding import seeded_generator
 
-__all__ = [
-    "gradient_gap",
-    "MatrixCell",
-    "defence_options_for",
-    "run_defence_matrix",
-    "breakdown_curve",
-]
+__all__ = ["gradient_gap", "MatrixCell", "defence_options_for"]
 
-DEFAULT_DEFENCES = (
-    "fedavg",
-    "median",
-    "trimmed_mean",
-    "krum",
-    "multikrum",
-    "geomed",
-    "autogm",
-    "centered_clipping",
-    "clustering",
-)
-DEFAULT_ATTACKS = ("sign_flip", "gaussian_noise", "alie", "ipm", "scaling")
 
-# Back-compat view of the derived options at the matrix's canonical 25 %
-# Byzantine fraction.
-DEFENCE_OPTIONS: dict[str, dict] = {
-    defence: options
-    for defence in ("trimmed_mean", "krum", "multikrum")
-    if (options := defence_options_for(defence, 0.25)) is not None
-}
+def defence_options_for(defence: str, byzantine_fraction: float) -> dict | None:
+    """Rule options parameterised for the *operating* adversary share.
+
+    Robustness guarantees are conditional on the rule knowing the
+    Byzantine fraction it faces: trimmed-mean must trim at least that
+    share from each tail, Krum/Multi-Krum size their neighbour sets from
+    it.  Evaluating a 10 % or 40 % adversary with options hard-coded for
+    the canonical 25 % silently measures a mis-parameterised defence.
+    Returns ``None`` for rules that take no fraction parameter.
+    """
+    if defence == "trimmed_mean":
+        # beta must stay below 0.5 (both tails are trimmed); past that
+        # the rule has no guarantee regardless of parameterisation.
+        return {"beta": min(byzantine_fraction, 0.49)}
+    if defence in ("krum", "multikrum"):
+        return {"byzantine_fraction": byzantine_fraction}
+    return None
 
 
 @dataclass
@@ -208,98 +196,3 @@ def gradient_gap(
         if au is not None:
             au.record("metric", step=n_trials, name="gradient_gap", value=gap)
         return gap
-
-
-def breakdown_curve(
-    defence: str,
-    attack: str,
-    fractions: tuple[float, ...] = (0.0, 0.1, 0.2, 0.3, 0.4, 0.45),
-    seed: int = 0,
-    workers: int | None = None,
-    **kwargs: object,
-) -> list[MatrixCell]:
-    """Gap as a function of the Byzantine fraction — the empirical
-    breakdown curve of one (defence, attack) pair.
-
-    The fraction where the gap departs from its clean level locates the
-    rule's practical breakdown point (Table II discussion: "each type of
-    method is particularly effective against some types of attacks").
-    The defence is re-parameterised for each fraction on the axis
-    (:func:`defence_options_for`), so the curve measures the rule at its
-    honest best everywhere.  ``workers`` shards the fractions across
-    processes with identical results.
-
-    Thin shim over a ``breakdown_curve`` scenario spec
-    (:mod:`repro.scenario`).
-    """
-    spec = matrix_spec(
-        name="breakdown-curve",
-        kind="breakdown_curve",
-        defences=(defence,),
-        attacks=(attack,),
-        fractions=tuple(fractions),
-        seed=seed,
-        **_estimation_kwargs(kwargs),  # type: ignore[arg-type]
-    )
-    return ScenarioRunner(workers=workers).run(spec).cells
-
-
-def run_defence_matrix(
-    defences: tuple[str, ...] = DEFAULT_DEFENCES,
-    attacks: tuple[str, ...] = DEFAULT_ATTACKS,
-    byzantine_fraction: float = 0.25,
-    seed: int = 0,
-    workers: int | None = None,
-    consensus: str | None = None,
-    consensus_adversary: str = "none",
-    **kwargs: object,
-) -> list[MatrixCell]:
-    """Every defence against every attack at one Byzantine fraction.
-
-    Each defence is parameterised for the *requested* fraction via
-    :func:`defence_options_for`; ``workers`` shards the cells across
-    processes (``REPRO_WORKERS``/serial when ``None``) with bit-identical
-    cells in the same order.  ``consensus`` composes a CBA backend in
-    front of every defence (see :func:`gradient_gap`); with ``"acs"``,
-    ``consensus_adversary`` and a ``fault_plan`` keyword subject the
-    consensus traffic itself to Byzantine behaviour and link faults.
-
-    Thin shim over a ``defence_matrix`` scenario spec
-    (:mod:`repro.scenario`).
-    """
-    spec = matrix_spec(
-        name="defence-matrix",
-        kind="defence_matrix",
-        defences=tuple(defences),
-        attacks=tuple(attacks),
-        fractions=(byzantine_fraction,),
-        seed=seed,
-        consensus=consensus,
-        consensus_adversary=consensus_adversary,
-        **_estimation_kwargs(kwargs),  # type: ignore[arg-type]
-    )
-    return ScenarioRunner(workers=workers).run(spec).cells
-
-
-_ESTIMATION_KWARGS = (
-    "n_total",
-    "dim",
-    "noise",
-    "n_trials",
-    "attack_options",
-    "consensus_options",
-    "fault_plan",
-    "drop_fraction",
-)
-
-
-def _estimation_kwargs(kwargs: dict) -> dict:
-    """Validate the legacy ``**kwargs`` pass-through against the spec
-    builder's vocabulary (the keys :func:`gradient_gap` accepted)."""
-    unknown = sorted(set(kwargs) - set(_ESTIMATION_KWARGS))
-    if unknown:
-        raise TypeError(
-            f"unexpected keyword argument{'s' if len(unknown) > 1 else ''} "
-            f"{', '.join(map(repr, unknown))}"
-        )
-    return {k: v for k, v in kwargs.items() if v is not None}

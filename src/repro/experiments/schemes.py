@@ -4,21 +4,23 @@ Runs the same attack scenario under all four Byzantine-resistance
 schemes, recording the final accuracy (robustness) and both the measured
 per-round message count and the analytic :mod:`repro.pipeline.costs`
 bill — the quantitative counterpart of Table IV's qualitative entries.
+
+:func:`run_scheme` is the single-cell primitive of the
+``scheme_comparison`` scenario kind (``specs/schemes.toml``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.core.schemes import SCHEME_DESCRIPTIONS, scheme_config
-from repro.experiments.setup import (
-    ExperimentConfig,
-    build_abdhfl_trainer,
-    prepare_data,
-)
+from repro.experiments.setup import ExperimentConfig, train_systems
 from repro.pipeline.costs import scheme_round_cost
 
-__all__ = ["SchemeOutcome", "run_scheme_comparison"]
+__all__ = ["CBA_NAME", "SchemeOutcome", "run_scheme"]
+
+#: The consensus backend wherever a scheme deploys CBA.
+CBA_NAME = "voting"
 
 
 @dataclass
@@ -34,45 +36,35 @@ class SchemeOutcome:
     analytic_scalar_messages: int
 
 
-def run_scheme_comparison(
-    config: ExperimentConfig | None = None,
-    schemes: tuple[int, ...] = (1, 2, 3, 4),
-    cba_name: str = "voting",
-) -> list[SchemeOutcome]:
-    """Train under each scheme with identical data/attack; collect bills.
+def run_scheme(config: ExperimentConfig, scheme: int) -> SchemeOutcome:
+    """Train ABD-HFL under ``scheme``; collect accuracy and message bills.
 
     The BRA/CBA building blocks follow the experiment config (Multi-Krum
     or Median partials, voting consensus) so the only varying factor is
     *where* each mechanism is deployed — exactly Table III's axis.
     """
-    config = config or ExperimentConfig(malicious_fraction=0.3)
-    outcomes: list[SchemeOutcome] = []
-    for scheme in schemes:
-        cfg = replace(config)
-        data = prepare_data(cfg)
-        abd_config = scheme_config(
-            scheme,
-            bra_name=cfg.partial_aggregator,
-            bra_options=cfg.partial_options,
-            cba_name=cba_name,
-            training=cfg.training_config(),
-        )
-        trainer = build_abdhfl_trainer(cfg, data, abdhfl_config=abd_config)
-        trainer.run(cfg.n_rounds)
-        measured = [r.model_messages for r in trainer.history]
-        analytic = scheme_round_cost(data.hierarchy, scheme)
-        desc = SCHEME_DESCRIPTIONS[scheme]
-        outcomes.append(
-            SchemeOutcome(
-                scheme=scheme,
-                partial_kind=desc["partial"].upper(),
-                global_kind=desc["global"].upper(),
-                final_accuracy=trainer.history[-1].test_accuracy,
-                measured_model_messages_per_round=float(
-                    sum(measured) / max(1, len(measured))
-                ),
-                analytic_model_messages=analytic.cost.model_messages,
-                analytic_scalar_messages=analytic.cost.scalar_messages,
-            )
-        )
-    return outcomes
+    abd_config = scheme_config(
+        scheme,
+        bra_name=config.partial_aggregator,
+        bra_options=config.partial_options,
+        cba_name=CBA_NAME,
+        training=config.training_config(),
+    )
+    [(data, trainers)] = train_systems(
+        config, systems=("abdhfl",), abdhfl_config=abd_config
+    )
+    history = trainers["abdhfl"].history
+    measured = [r.model_messages for r in history]
+    analytic = scheme_round_cost(data.hierarchy, scheme)
+    desc = SCHEME_DESCRIPTIONS[scheme]
+    return SchemeOutcome(
+        scheme=scheme,
+        partial_kind=desc["partial"].upper(),
+        global_kind=desc["global"].upper(),
+        final_accuracy=history[-1].test_accuracy,
+        measured_model_messages_per_round=float(
+            sum(measured) / max(1, len(measured))
+        ),
+        analytic_model_messages=analytic.cost.model_messages,
+        analytic_scalar_messages=analytic.cost.scalar_messages,
+    )

@@ -4,6 +4,8 @@
 builds the dataset/partition/poisoning stage; the two ``build_*`` helpers
 assemble trainers so ABD-HFL and vanilla FL always train on *identical*
 shards from *identical* initial weights — the comparison the paper makes.
+:func:`train_systems` is the one trainer-run loop every trainer-based
+artefact (Table V, Figure 3, Theorem 2, schemes, backdoor) is built on.
 
 The default configuration is the documented reduced scale (DESIGN.md);
 ``ExperimentConfig.paper_scale()`` restores the full Appendix D settings.
@@ -12,6 +14,7 @@ The default configuration is the documented reduced scale (DESIGN.md);
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import Callable, Iterator
 
 from repro.attacks.base import ModelAttack
 from repro.core.config import ABDHFLConfig, LevelAggregation, TrainingConfig
@@ -28,15 +31,20 @@ from repro.data.synthetic_mnist import SyntheticMNIST, make_synthetic_mnist
 from repro.faults.plan import FaultPlan
 from repro.nn.model import MLP
 from repro.topology.tree import Hierarchy, assign_byzantine, build_ecsm
-from repro.utils.seeding import SeedSequenceFactory
+from repro.utils.seeding import SeedSequenceFactory, iter_run_seeds
 
 __all__ = [
+    "SYSTEMS",
     "ExperimentConfig",
     "ExperimentData",
     "prepare_data",
     "build_abdhfl_trainer",
     "build_vanilla_trainer",
+    "train_systems",
 ]
+
+#: The systems every comparison trains, in execution order.
+SYSTEMS = ("abdhfl", "vanilla")
 
 
 @dataclass(frozen=True)
@@ -267,3 +275,38 @@ def build_vanilla_trainer(
         model_attack=model_attack,
         seed=data.seed,
     )
+
+
+def train_systems(
+    config: ExperimentConfig,
+    n_runs: int | None = None,
+    systems: tuple[str, ...] = SYSTEMS,
+    abdhfl_config: ABDHFLConfig | None = None,
+    prepare: Callable[[ExperimentConfig], ExperimentData] = prepare_data,
+) -> Iterator[tuple[ExperimentData, dict[str, ABDHFLTrainer | VanillaFLTrainer]]]:
+    """The one trainer-run loop: for each run seed, ``prepare`` the shared
+    data, then build and run every requested system on it in turn.
+
+    Yields ``(data, trainers)`` per run, ``trainers`` keyed by system
+    name; each trainer carries its per-round ``history`` and final
+    ``global_model``.  ``n_runs=None`` trains once on ``config.seed``
+    itself (the single-run artefacts: Theorem 2, schemes, backdoor); an
+    integer derives that many sibling seeds (:func:`iter_run_seeds` — the
+    Table V / Figure 3 repeats).
+    """
+    run_seeds = (
+        (config.seed,) if n_runs is None else iter_run_seeds(config.seed, n_runs)
+    )
+    for run_seed in run_seeds:
+        run_cfg = replace(config, seed=run_seed)
+        data = prepare(run_cfg)
+        trainers: dict[str, ABDHFLTrainer | VanillaFLTrainer] = {}
+        for system in systems:
+            trainer = (
+                build_abdhfl_trainer(run_cfg, data, abdhfl_config=abdhfl_config)
+                if system == "abdhfl"
+                else build_vanilla_trainer(run_cfg, data)
+            )
+            trainer.run(run_cfg.n_rounds)
+            trainers[system] = trainer
+        yield data, trainers

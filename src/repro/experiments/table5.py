@@ -4,33 +4,21 @@ The grid is (data distribution) x (attack type) x (malicious proportion),
 each cell averaging the final-round accuracy over repeated runs — the
 paper uses five repeats; the reduced default uses fewer.
 
-:func:`run_cell` — the single-cell primitive — lives here;
-:func:`run_table5` is a thin shim over an ``accuracy_grid`` scenario spec
-(:mod:`repro.scenario`), pinned bit-identical to the spec-driven path by
-``tests/test_scenario_equivalence.py``.
+:func:`run_cell` is the single-cell primitive the ``accuracy_grid``
+scenario kind (:mod:`repro.scenario`) fans out; the grid itself ships as
+``specs/table5.toml`` (reduced scale) and ``specs/table5_paper.toml``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.experiments.setup import (
-    ExperimentConfig,
-    build_abdhfl_trainer,
-    build_vanilla_trainer,
-    prepare_data,
-)
-from repro.scenario.runner import ScenarioRunner
-from repro.scenario.spec import accuracy_spec
-from repro.utils.seeding import iter_run_seeds
+from repro.experiments.setup import ExperimentConfig, train_systems
 from repro.utils.tables import format_percent, format_table
 
-__all__ = ["Table5Cell", "run_cell", "run_table5", "format_table5"]
-
-# The paper's malicious-proportion axis, including the theoretical bound.
-PAPER_FRACTIONS = (0.0, 0.05, 0.10, 0.20, 0.30, 0.40, 0.50, 0.578, 0.65)
+__all__ = ["Table5Cell", "run_cell", "format_table5"]
 
 
 @dataclass
@@ -54,16 +42,9 @@ def run_cell(
     """Train both systems ``n_runs`` times; average final accuracy."""
     abd_scores: list[float] = []
     van_scores: list[float] = []
-    for run_seed in iter_run_seeds(config.seed, n_runs):
-        run_cfg = replace(config, seed=run_seed)
-        data = prepare_data(run_cfg)
-        abd = build_abdhfl_trainer(run_cfg, data)
-        abd.run(run_cfg.n_rounds)
-        abd_scores.append(abd.history[-1].test_accuracy)
-
-        van = build_vanilla_trainer(run_cfg, data)
-        van.run(run_cfg.n_rounds)
-        van_scores.append(van.history[-1].test_accuracy)
+    for _, trainers in train_systems(config, n_runs):
+        abd_scores.append(trainers["abdhfl"].history[-1].test_accuracy)
+        van_scores.append(trainers["vanilla"].history[-1].test_accuracy)
     return Table5Cell(
         iid=config.iid,
         attack=config.attack,
@@ -74,37 +55,6 @@ def run_cell(
         vanilla_std=float(np.std(van_scores)),
         n_runs=n_runs,
     )
-
-
-def run_table5(
-    base_config: ExperimentConfig | None = None,
-    fractions: tuple[float, ...] = PAPER_FRACTIONS,
-    distributions: tuple[bool, ...] = (True, False),
-    attacks: tuple[str, ...] = ("type1", "type2"),
-    n_runs: int = 1,
-    workers: int | None = None,
-) -> list[Table5Cell]:
-    """Run the full grid; returns cells in paper row order.
-
-    Cells are seeded independently (every run derives its seed from the
-    cell config alone), so ``workers`` shards them across processes via
-    :func:`repro.parallel.parallel_map` with bit-identical cells in the
-    same paper row order.
-
-    Thin shim over an ``accuracy_grid`` scenario spec
-    (:mod:`repro.scenario`).
-    """
-    spec = accuracy_spec(
-        base_config,
-        name="table5",
-        fractions=tuple(fractions),
-        distributions=tuple(
-            "iid" if iid else "noniid" for iid in distributions
-        ),
-        attacks=tuple(attacks),
-        n_runs=n_runs,
-    )
-    return ScenarioRunner(workers=workers).run(spec).cells
 
 
 def format_table5(cells: list[Table5Cell]) -> str:

@@ -10,20 +10,19 @@ Two parts:
   The paper's worked example (gamma1 = gamma2 = 25 %, l = 2) predicts
   57.8125 %; Table V shows ABD-HFL holding ~90 % up to that point and
   degrading gracefully beyond it.
+
+:func:`run_tolerance_point` is the single-cell primitive of the
+``tolerance_sweep`` scenario kind (``specs/tolerance.toml``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from repro.experiments.setup import (
-    ExperimentConfig,
-    build_abdhfl_trainer,
-    prepare_data,
-)
+from repro.experiments.setup import ExperimentConfig, train_systems
 from repro.topology.analysis import max_byzantine_fraction
 
-__all__ = ["TolerancePoint", "run_theorem2"]
+__all__ = ["TolerancePoint", "tolerance_bound", "run_tolerance_point"]
 
 
 @dataclass
@@ -35,31 +34,21 @@ class TolerancePoint:
     below_bound: bool
 
 
-def run_theorem2(
-    config: ExperimentConfig | None = None,
-    fractions: tuple[float, ...] = (0.0, 0.2, 0.4, 0.55, 0.7, 0.85),
-    gamma1: float = 0.25,
-    gamma2: float = 0.25,
-) -> tuple[float, list[TolerancePoint]]:
-    """Sweep malicious fractions around the Theorem-2 bound.
+def tolerance_bound(n_levels: int, gamma1: float, gamma2: float) -> float:
+    """The closed-form maximum tolerated proportion for an
+    ``n_levels``-deep hierarchy (Theorem 2 at its bottom level)."""
+    return max_byzantine_fraction(gamma1, gamma2, n_levels - 1)
 
-    Returns ``(bound, points)`` where ``bound`` is the closed-form maximum
-    tolerated proportion for the configured depth.
-    """
-    config = config or ExperimentConfig()
-    bottom_level = config.n_levels - 1
-    bound = max_byzantine_fraction(gamma1, gamma2, bottom_level)
-    points: list[TolerancePoint] = []
-    for fraction in fractions:
-        cfg = replace(config, malicious_fraction=fraction)
-        data = prepare_data(cfg)
-        trainer = build_abdhfl_trainer(cfg, data)
-        trainer.run(cfg.n_rounds)
-        points.append(
-            TolerancePoint(
-                malicious_fraction=fraction,
-                accuracy=trainer.history[-1].test_accuracy,
-                below_bound=fraction <= bound,
-            )
-        )
-    return bound, points
+
+def run_tolerance_point(
+    config: ExperimentConfig, gamma1: float, gamma2: float
+) -> TolerancePoint:
+    """ABD-HFL's final accuracy at ``config.malicious_fraction``, tagged
+    with which side of the Theorem-2 bound the fraction sits on."""
+    [(_, trainers)] = train_systems(config, systems=("abdhfl",))
+    return TolerancePoint(
+        malicious_fraction=config.malicious_fraction,
+        accuracy=trainers["abdhfl"].history[-1].test_accuracy,
+        below_bound=config.malicious_fraction
+        <= tolerance_bound(config.n_levels, gamma1, gamma2),
+    )

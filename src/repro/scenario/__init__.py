@@ -2,42 +2,49 @@
 
 A :class:`ScenarioSpec` (TOML- or dict-described topology, data
 distribution, adversary axes, consensus backend + adversary, fault plan,
-metrics, seeds) is expanded into an ordered cell grid and executed by
-:class:`ScenarioRunner` through the existing trainer / gradient-
-estimation machinery with `repro.parallel` fan-out and `repro.obs`
-tracing.  The legacy entrypoints (``run_table5``, ``run_defence_matrix``,
-``breakdown_curve``) are thin shims over canonical specs shipped in
-``repro/scenario/specs/*.toml``; ``tests/test_scenario_equivalence.py``
-pins bit-identical equivalence.
+seeds) is expanded into an ordered cell grid and executed by
+:class:`ScenarioRunner` through the single-cell primitives of
+:mod:`repro.experiments` with `repro.parallel` fan-out and `repro.obs`
+tracing.  Every paper artefact is a canonical spec shipped in
+``repro/scenario/specs/*.toml``; what a spec's ``kind`` means lives in
+one table (:data:`repro.scenario.kinds.KINDS`), and
+``tests/test_scenario_equivalence.py`` pins each kind bit-identical to a
+plain loop over its primitive.
 """
 
-from repro.scenario.grid import ScenarioCell, expand_cells
+from repro.scenario.grid import ScenarioCell
 from repro.scenario.io import (
     dump_scenario,
     dumps_toml,
     load_scenario,
     loads_scenario,
 )
-from repro.scenario.options import defence_options_for
-from repro.scenario.report import render_matrix_grid, render_result
+from repro.scenario.kinds import (
+    DATA_ATTACKS,
+    KINDS,
+    Kind,
+    expand_cells,
+    render_result,
+)
 from repro.scenario.runner import (
     ScenarioResult,
     ScenarioRunner,
     load_shipped_spec,
+    persist_result,
     resolve_spec,
+    run_manifest,
     run_scenario,
     shipped_spec_names,
 )
 from repro.scenario.spec import (
-    DATA_ATTACKS,
-    KIND_METRICS,
-    KINDS,
     PLACEMENTS,
     SEED_POLICIES,
     DataSpec,
     EstimationSpec,
     FaultSpec,
+    PipelineSpec,
     ScenarioSpec,
+    ToleranceSpec,
     TopologySpec,
     TrainingSpec,
     accuracy_spec,
@@ -46,30 +53,32 @@ from repro.scenario.spec import (
 
 __all__ = [
     "KINDS",
+    "Kind",
     "DATA_ATTACKS",
     "PLACEMENTS",
     "SEED_POLICIES",
-    "KIND_METRICS",
     "TopologySpec",
     "DataSpec",
     "TrainingSpec",
     "EstimationSpec",
     "FaultSpec",
+    "ToleranceSpec",
+    "PipelineSpec",
     "ScenarioSpec",
     "ScenarioCell",
     "ScenarioResult",
     "ScenarioRunner",
     "accuracy_spec",
     "matrix_spec",
-    "defence_options_for",
     "expand_cells",
     "load_scenario",
     "loads_scenario",
     "dump_scenario",
     "dumps_toml",
     "render_result",
-    "render_matrix_grid",
     "run_scenario",
+    "run_manifest",
+    "persist_result",
     "shipped_spec_names",
     "load_shipped_spec",
     "resolve_spec",

@@ -1,145 +1,129 @@
-"""Grid expansion: from one :class:`ScenarioSpec` to ordered cells.
+"""Grid cells and the per-kind cell tasks.
 
-The expansion order is part of the golden-equivalence contract with the
-legacy entrypoints (``tests/test_scenario_equivalence.py``):
-
-``accuracy_grid``
-    ``for distribution: for attack: for fraction`` — the paper row order
-    :func:`repro.experiments.table5.run_table5` always produced.
-``defence_matrix``
-    ``for fraction: for defence: for attack`` — with a single fraction
-    this is exactly :func:`repro.experiments.matrix.run_defence_matrix`'s
-    ``for defence: for attack``.
-``breakdown_curve``
-    ``for fraction`` along the axis, one (defence, attack) pair.
-
-Cell seeds follow the spec's ``seed_policy``: ``"shared"`` hands every
-cell the root seed (the legacy behaviour — cells already derive
-independent streams internally), ``"derived"`` gives cell ``i``
-``derive_seed(seed, "cell", i)``.
-
-The ``_run_cell_task`` / ``_gap_cell_task`` functions are module-level so
+A :class:`ScenarioCell` is one point of a spec's expanded grid
+(:func:`repro.scenario.kinds.expand_cells`); each ``*_task`` function
+evaluates one cell of one scenario kind through that kind's single-cell
+primitive in :mod:`repro.experiments`.  The tasks are module-level so
 :func:`repro.parallel.parallel_map` can ship ``(spec, cell)`` tuples to
-spawn workers.  They import the experiment machinery lazily: the legacy
-modules import :mod:`repro.scenario` at module scope (for the shims), so
-an eager import here would be circular.  Calling through the *module*
-(``matrix.gradient_gap``) rather than a bound name also keeps the tests
-that monkeypatch ``matrix.get_aggregator`` effective.
+spawn workers, and they add no trace or audit events of their own —
+everything a run records comes from the trainer / consensus machinery.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
-from repro.scenario.options import defence_options_for
-from repro.scenario.spec import ScenarioSpec
-from repro.utils.seeding import derive_seed
+from repro.experiments.backdoor import BackdoorCell, run_backdoor_cell
+from repro.experiments.figure2 import PipelineCell, run_pipeline_cell
+from repro.experiments.figure3 import ConvergenceCell, run_convergence_cell
+from repro.experiments.matrix import MatrixCell, defence_options_for, gradient_gap
+from repro.experiments.schemes import SchemeOutcome, run_scheme
+from repro.experiments.setup import ExperimentConfig
+from repro.experiments.table5 import Table5Cell, run_cell
+from repro.experiments.theorem2 import TolerancePoint, run_tolerance_point
+from repro.topology.tree import build_ecsm
 
 if TYPE_CHECKING:
-    from repro.experiments.matrix import MatrixCell
-    from repro.experiments.table5 import Table5Cell
+    from repro.scenario.spec import ScenarioSpec
 
-__all__ = ["ScenarioCell", "cell_seed", "expand_cells", "cell_task"]
+__all__ = [
+    "ScenarioCell",
+    "Task",
+    "accuracy_task",
+    "convergence_task",
+    "scheme_task",
+    "backdoor_task",
+    "tolerance_task",
+    "pipeline_task",
+    "gap_task",
+    "breakdown_task",
+]
 
 
 @dataclass(frozen=True)
 class ScenarioCell:
-    """One point of the expanded grid (all axes resolved)."""
+    """One point of the expanded grid (the kind's axes resolved; axes the
+    kind does not span keep their neutral defaults)."""
 
     index: int
     seed: int
-    attack: str
-    fraction: float
-    distribution: str | None = None  # accuracy_grid only
-    defence: str | None = None  # gradient-estimation kinds only
+    attack: str = "none"
+    fraction: float = 0.0
+    distribution: str | None = None
+    defence: str | None = None
+    scheme: int | None = None
 
 
-def cell_seed(spec: ScenarioSpec, index: int) -> int:
-    if spec.seed_policy == "derived":
-        return derive_seed(spec.seed, "cell", index)
-    return spec.seed
+#: What a cell task receives (one picklable item of the fan-out).
+Task = tuple["ScenarioSpec", ScenarioCell]
 
 
-def expand_cells(spec: ScenarioSpec) -> list[ScenarioCell]:
-    """The spec's grid as an ordered, deterministically-seeded cell list."""
-    points: list[dict] = []
-    if spec.kind == "accuracy_grid":
-        for distribution in spec.distributions:
-            for attack in spec.attacks:
-                for fraction in spec.fractions:
-                    points.append(
-                        dict(
-                            distribution=distribution,
-                            attack=attack,
-                            fraction=fraction,
-                        )
-                    )
-    elif spec.kind == "defence_matrix":
-        for fraction in spec.fractions:
-            for defence in spec.defences:
-                for attack in spec.attacks:
-                    points.append(
-                        dict(defence=defence, attack=attack, fraction=fraction)
-                    )
-    else:  # breakdown_curve
-        for fraction in spec.fractions:
-            points.append(
-                dict(
-                    defence=spec.defences[0],
-                    attack=spec.attacks[0],
-                    fraction=fraction,
-                )
-            )
-    return [
-        ScenarioCell(index=i, seed=cell_seed(spec, i), **point)
-        for i, point in enumerate(points)
-    ]
-
-
-def cell_task(
-    spec: ScenarioSpec,
-) -> Callable[[tuple[ScenarioSpec, ScenarioCell]], "Table5Cell | MatrixCell"]:
-    """The spawn-safe task function evaluating one of ``spec``'s cells."""
-    return _run_cell_task if spec.kind == "accuracy_grid" else _gap_cell_task
-
-
-def _run_cell_task(task: tuple[ScenarioSpec, ScenarioCell]) -> "Table5Cell":
-    """One trainer-based accuracy cell -> :class:`Table5Cell`."""
-    from dataclasses import replace
-
-    from repro.experiments import table5
-
-    spec, cell = task
-    config = replace(
-        spec.base_experiment_config().for_distribution(
-            cell.distribution == "iid"
-        ),
+def _cell_config(spec: "ScenarioSpec", cell: ScenarioCell) -> ExperimentConfig:
+    """The trainer-based cell's config: the spec's base with the paper's
+    per-distribution aggregator pairing and the cell's axes applied."""
+    return replace(
+        spec.base_experiment_config().for_distribution(cell.distribution == "iid"),
         attack=cell.attack,
         malicious_fraction=cell.fraction,
         seed=cell.seed,
     )
-    return table5.run_cell(config, n_runs=spec.n_runs)
 
 
-def _gap_cell_task(task: tuple[ScenarioSpec, ScenarioCell]) -> "MatrixCell":
-    """One gradient-estimation cell -> :class:`MatrixCell`."""
-    from repro.experiments import matrix
-
+def accuracy_task(task: Task) -> Table5Cell:
     spec, cell = task
+    return run_cell(_cell_config(spec, cell), n_runs=spec.n_runs)
+
+
+def convergence_task(task: Task) -> ConvergenceCell:
+    spec, cell = task
+    return run_convergence_cell(_cell_config(spec, cell), n_runs=spec.n_runs)
+
+
+def scheme_task(task: Task) -> SchemeOutcome:
+    spec, cell = task
+    assert cell.scheme is not None
+    return run_scheme(_cell_config(spec, cell), cell.scheme)
+
+
+def backdoor_task(task: Task) -> BackdoorCell:
+    spec, cell = task
+    return run_backdoor_cell(_cell_config(spec, cell))
+
+
+def tolerance_task(task: Task) -> TolerancePoint:
+    spec, cell = task
+    return run_tolerance_point(
+        _cell_config(spec, cell), spec.tolerance.gamma1, spec.tolerance.gamma2
+    )
+
+
+def pipeline_task(task: Task) -> PipelineCell:
+    spec, cell = task
+    return run_pipeline_cell(
+        build_ecsm(
+            n_levels=spec.topology.n_levels,
+            cluster_size=spec.topology.cluster_size,
+            n_top=spec.topology.n_top,
+        ),
+        flag_level=spec.pipeline.flag_level,
+        global_delay=spec.pipeline.global_delay,
+        n_rounds=spec.pipeline.n_rounds,
+        seed=cell.seed,
+    )
+
+
+def _gap_cell(spec: "ScenarioSpec", cell: ScenarioCell, attack: str) -> MatrixCell:
+    """One gradient-estimation cell applying ``attack`` (the cell keeps
+    its own attack label)."""
     defence = cell.defence
     assert defence is not None
-    # The clean anchor of a breakdown curve applies no attack; the cell
-    # keeps the requested attack label so the curve groups together.
-    attack = cell.attack
-    if spec.kind == "breakdown_curve" and cell.fraction == 0:
-        attack = "none"
     options = (
         dict(spec.defence_options)
         if spec.defence_options is not None
         else defence_options_for(defence, cell.fraction)
     )
-    gap = matrix.gradient_gap(
+    gap = gradient_gap(
         defence,
         attack,
         n_total=spec.estimation.n_total,
@@ -156,7 +140,7 @@ def _gap_cell_task(task: tuple[ScenarioSpec, ScenarioCell]) -> "MatrixCell":
         fault_plan=spec.fault_plan(),
         drop_fraction=spec.drop_fraction,
     )
-    return matrix.MatrixCell(
+    return MatrixCell(
         defence=defence,
         attack=cell.attack,
         byzantine_fraction=cell.fraction,
@@ -164,3 +148,15 @@ def _gap_cell_task(task: tuple[ScenarioSpec, ScenarioCell]) -> "MatrixCell":
         consensus=spec.consensus,
         consensus_adversary=spec.consensus_adversary,
     )
+
+
+def gap_task(task: Task) -> MatrixCell:
+    spec, cell = task
+    return _gap_cell(spec, cell, cell.attack)
+
+
+def breakdown_task(task: Task) -> MatrixCell:
+    # The clean anchor of a breakdown curve applies no attack; the cell
+    # keeps the requested attack label so the curve groups together.
+    spec, cell = task
+    return _gap_cell(spec, cell, cell.attack if cell.fraction > 0 else "none")

@@ -1,13 +1,13 @@
 """The single orchestrator executing any :class:`ScenarioSpec`.
 
 :class:`ScenarioRunner` validates the spec, expands its grid
-(:func:`repro.scenario.grid.expand_cells`), fans the cells out through
+(:func:`repro.scenario.kinds.expand_cells`), fans the cells out through
 :func:`repro.parallel.parallel_map` (worker count is a pure wall-clock
 knob — results and merged traces are bit-identical for any value), and
-renders the uniform report.  The runner adds *no* trace events of its
+renders the kind's report.  The runner adds *no* trace events of its
 own: everything in a trace comes from the underlying trainer/consensus
-machinery, so a spec-driven run's trace is byte-identical to the legacy
-entrypoint it replaces.
+machinery, so a spec-driven run's trace is byte-identical to a plain
+loop over the single-cell primitives.
 
 Canonical specs ship inside the package (``repro/scenario/specs/*.toml``)
 and are addressable by bare name from the CLI (``scenario run table5``).
@@ -18,13 +18,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any
 
-from repro.obs import audit
+from repro.experiments.io import (
+    collect_registries,
+    save_records_csv,
+    save_records_json,
+)
+from repro.obs import audit, trace
 from repro.parallel import parallel_map
-from repro.scenario.grid import ScenarioCell, cell_task, expand_cells
+from repro.scenario.grid import ScenarioCell
 from repro.scenario.io import load_scenario, loads_scenario
-from repro.scenario.report import render_result
+from repro.scenario.kinds import cell_task, expand_cells, render_result
 from repro.scenario.spec import ScenarioSpec
 
 __all__ = [
@@ -87,10 +92,6 @@ def run_manifest(
     """The provenance manifest for one spec run (see
     :mod:`repro.obs.audit`): full spec dict, seed-tree root, registered
     rule/protocol/attack names, package version."""
-    # Experiment-layer import kept lazy: experiments.matrix imports this
-    # module, so a top-level import would be a cycle.
-    from repro.experiments.io import collect_registries
-
     return audit.build_manifest(
         command=command,
         spec=spec.to_dict(),
@@ -109,12 +110,11 @@ def persist_result(
     Always: the rendered report (``report.txt``) and the result cells as
     both JSON and CSV (``cells.json`` / ``cells.csv``, via
     :mod:`repro.experiments.io`).  When ``manifest`` is given it lands in
-    ``manifest.json``; when an ambient auditor holds records they land in
-    ``audit.jsonl``, making the directory a self-contained forensic unit
-    ``python -m repro audit <dir>`` consumes.
+    ``manifest.json``; when an ambient auditor / tracer holds records they
+    land in ``audit.jsonl`` / ``trace.jsonl``, making the directory a
+    self-contained unit both ``python -m repro audit <dir>`` and
+    ``python -m repro report <dir>/trace.jsonl`` consume.
     """
-    from repro.experiments.io import save_records_csv, save_records_json
-
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths: dict[str, Path] = {}
@@ -129,6 +129,9 @@ def persist_result(
     auditor = audit.auditor()
     if auditor is not None and auditor.records:
         paths["audit"] = auditor.save(out / "audit.jsonl")
+    tracer = trace.tracer()
+    if tracer is not None and tracer.events:
+        paths["trace"] = tracer.save(out / "trace.jsonl")
     return paths
 
 
@@ -164,8 +167,17 @@ def load_shipped_spec(name: str) -> ScenarioSpec:
 
 
 def resolve_spec(ref: str) -> ScenarioSpec:
-    """A spec from a filesystem path or a shipped bare name."""
+    """A spec from a filesystem path or a shipped bare name.
+
+    Only a regular file (or anything spelled ``*.toml``) is read as a
+    path — a directory that happens to share a shipped spec's name (say,
+    a previous run's ``--out smoke``) must not shadow it.  An unreadable
+    path raises :class:`ValueError` like every other bad spec.
+    """
     path = Path(ref)
-    if path.suffix == ".toml" or path.exists():
+    if path.suffix != ".toml" and not path.is_file():
+        return load_shipped_spec(ref)
+    try:
         return load_scenario(path)
-    return load_shipped_spec(ref)
+    except OSError as exc:
+        raise ValueError(f"{ref}: cannot read spec file ({exc.strerror})") from None

@@ -2,8 +2,8 @@
 
 A :class:`ScenarioSpec` is the data-only description of one experiment
 grid: topology, data distribution, training knobs, the adversary axes
-(attacks x defences x fractions x distributions), consensus backend and
-consensus-level adversary, fault plan, metrics, and seeds.  Specs are
+(attacks x defences x fractions x distributions x schemes), consensus
+backend and consensus-level adversary, fault plan, and seeds.  Specs are
 frozen dataclasses with a strict dict/TOML round-trip
 (:mod:`repro.scenario.io`) and registry-backed validation — every name a
 spec mentions (aggregator, attack, consensus backend, consensus
@@ -11,78 +11,51 @@ adversary, fault-plan field) is checked against the registry that will
 ultimately construct it, and every error names the offending path
 (``"fractions[2]: must be in [0, 0.5), got 0.6"``).
 
-Three scenario kinds cover the paper's experiment families:
+What a spec's ``kind`` means — which axes span its grid, which sections
+apply, the fraction range and attack vocabulary, how a cell is computed
+and how the result is rendered — is one row of
+:data:`repro.scenario.kinds.KINDS`; this module only checks membership
+and reads the row.
 
-``accuracy_grid``
-    Trainer-based Table-V cells: (distribution x attack x fraction),
-    each training ABD-HFL and vanilla FL end to end
-    (:func:`repro.experiments.table5.run_cell`).
-``defence_matrix``
-    Gradient-estimation cells (defence x attack x fraction) measuring
-    the normalised gap of the aggregate from the true mean
-    (:func:`repro.experiments.matrix.gradient_gap`), optionally composed
-    with a CBA backend, consensus-level adversary and fault plan.
-``breakdown_curve``
-    One (defence, attack) pair swept along the fraction axis, with the
-    defence re-parameterised per fraction.
-
-Seed semantics: ``seed_policy="shared"`` (the legacy behaviour and the
-golden-equivalence baseline) hands every cell the spec's root seed;
-``"derived"`` gives cell ``i`` the stable child seed
-``derive_seed(seed, "cell", i)`` so cells draw independent streams.
+Seed semantics: ``seed_policy="shared"`` (the golden-equivalence
+baseline) hands every cell the spec's root seed; ``"derived"`` gives
+cell ``i`` the stable child seed ``derive_seed(seed, "cell", i)`` so
+cells draw independent streams.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields as dataclass_fields
+from dataclasses import MISSING, dataclass, field, fields as dataclass_fields
 from math import isfinite
-from typing import TYPE_CHECKING, Any, Mapping
-
-if TYPE_CHECKING:
-    from repro.experiments.setup import ExperimentConfig
+from typing import Any, Callable, Mapping
 
 from repro.aggregation.base import available_aggregators
-from repro.attacks.base import available_attacks
 from repro.consensus.async_bft.adversary import ADVERSARIES
 from repro.consensus.registry import CONSENSUS_NAMES
+from repro.core.schemes import SCHEME_DESCRIPTIONS
+from repro.experiments.setup import ExperimentConfig
 from repro.faults.plan import FaultPlan
+from repro.scenario.kinds import AXES, KINDS, Kind
 
 __all__ = [
-    "KINDS",
-    "DATA_ATTACKS",
     "PLACEMENTS",
     "SEED_POLICIES",
-    "KIND_METRICS",
     "TopologySpec",
     "DataSpec",
     "TrainingSpec",
     "EstimationSpec",
     "FaultSpec",
+    "ToleranceSpec",
+    "PipelineSpec",
     "ScenarioSpec",
     "accuracy_spec",
     "matrix_spec",
 ]
 
-#: Scenario kinds understood by the runner, in documentation order.
-KINDS = ("accuracy_grid", "defence_matrix", "breakdown_curve")
-
-#: Data-poisoning attacks the trainer-based grid dispatches through
-#: :func:`repro.data.poisoning.apply_poisoning`.
-DATA_ATTACKS = ("none", "type1", "type2", "label_flip", "backdoor")
-
 #: Byzantine placement strategies (:func:`repro.topology.tree.assign_byzantine`).
 PLACEMENTS = ("random", "prefix", "spread", "worst_case")
 
 SEED_POLICIES = ("shared", "derived")
-
-#: Metric names each kind can report (the first entry is the default).
-KIND_METRICS: dict[str, tuple[str, ...]] = {
-    "accuracy_grid": ("accuracy",),
-    "defence_matrix": ("gap",),
-    "breakdown_curve": ("gap",),
-}
-
-_GRADIENT_KINDS = ("defence_matrix", "breakdown_curve")
 
 
 def _fail(path: str, message: str) -> None:
@@ -189,8 +162,8 @@ class FaultSpec:
 
     Per-link overrides, partitions and crash schedules are code-level
     constructs; a declarative scenario carries the uniform link-fault
-    rates plus the retry/timeout knobs, which is exactly what the CLI
-    and the defence-matrix consensus axis exercise.
+    rates plus the retry/timeout knobs, which is exactly what the
+    defence-matrix consensus axis exercises.
     """
 
     seed: int = 0
@@ -241,6 +214,40 @@ class FaultSpec:
 
 
 @dataclass(frozen=True)
+class ToleranceSpec:
+    """Theorem 2's per-level Byzantine shares (``tolerance_sweep``)."""
+
+    gamma1: float = 0.25
+    gamma2: float = 0.25
+
+    def validate(self, where: str = "tolerance") -> None:
+        for name in ("gamma1", "gamma2"):
+            value = getattr(self, name)
+            if not (isfinite(value) and 0.0 <= value < 1.0):
+                _fail(f"{where}.{name}", f"must be in [0, 1), got {value}")
+
+
+@dataclass(frozen=True)
+class PipelineSpec:
+    """Event-driven Figure-2 run knobs (``pipeline_timing``)."""
+
+    flag_level: int = 1
+    global_delay: float = 25.0
+    n_rounds: int = 15
+
+    def validate(self, where: str = "pipeline") -> None:
+        if self.flag_level < 0:
+            _fail(f"{where}.flag_level", f"must be >= 0, got {self.flag_level}")
+        if not (isfinite(self.global_delay) and self.global_delay > 0):
+            _fail(
+                f"{where}.global_delay",
+                f"must be a positive finite float, got {self.global_delay}",
+            )
+        if self.n_rounds < 1:
+            _fail(f"{where}.n_rounds", f"must be >= 1, got {self.n_rounds}")
+
+
+@dataclass(frozen=True)
 class ScenarioSpec:
     """One declarative experiment grid (see the module docstring)."""
 
@@ -249,15 +256,15 @@ class ScenarioSpec:
     description: str = ""
     seed: int = 0
     seed_policy: str = "shared"
-    metrics: tuple[str, ...] = ()
 
-    # grid axes (which axes apply depends on ``kind``)
+    # grid axes (which axes apply, and in what order, is the kind's row)
     attacks: tuple[str, ...] = ()
     defences: tuple[str, ...] = ()
     fractions: tuple[float, ...] = ()
     distributions: tuple[str, ...] = ("iid",)
+    schemes: tuple[int, ...] = ()
 
-    # trainer-based grid (accuracy_grid)
+    # trainer-based kinds
     topology: TopologySpec = field(default_factory=TopologySpec)
     data: DataSpec = field(default_factory=DataSpec)
     training: TrainingSpec = field(default_factory=TrainingSpec)
@@ -266,7 +273,7 @@ class ScenarioSpec:
     top_consensus: str = "voting"
     top_options: dict = field(default_factory=dict)
 
-    # gradient-estimation grids (defence_matrix / breakdown_curve)
+    # gradient-estimation kinds
     estimation: EstimationSpec = field(default_factory=EstimationSpec)
     defence_options: dict | None = None  # None = derive via defence_options_for
     attack_options: dict = field(default_factory=dict)
@@ -276,8 +283,12 @@ class ScenarioSpec:
     drop_fraction: float = 0.0
     faults: FaultSpec | None = None
 
+    # single-kind sections
+    tolerance: ToleranceSpec = field(default_factory=ToleranceSpec)
+    pipeline: PipelineSpec = field(default_factory=PipelineSpec)
+
     def __post_init__(self) -> None:
-        for name in ("metrics", "attacks", "defences", "distributions"):
+        for name in ("attacks", "defences", "distributions", "schemes"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
         object.__setattr__(
             self, "fractions", tuple(float(f) for f in self.fractions)
@@ -307,135 +318,81 @@ class ScenarioSpec:
                 f"unknown seed policy {self.seed_policy!r}; expected one of "
                 f"{list(SEED_POLICIES)}",
             )
-        allowed_metrics = KIND_METRICS[self.kind]
-        for i, metric in enumerate(self.metrics):
-            if metric not in allowed_metrics:
-                _fail(
-                    f"metrics[{i}]",
-                    f"unknown metric {metric!r} for kind {self.kind!r}; "
-                    f"expected one of {list(allowed_metrics)}",
-                )
-        self._validate_fractions()
-        self._validate_attacks()
-        if self.kind == "accuracy_grid":
-            self._validate_accuracy_grid()
-        else:
-            self._validate_gradient_grid()
+        kind = KINDS[self.kind]
+        self._check_axes(kind)
+        for name, check in _SECTION_CHECKS.items():
+            if name in kind.sections:
+                check(self)
+            else:
+                self._require_default(name)
         return self
 
-    def _validate_fractions(self) -> None:
-        if not self.fractions:
-            _fail("fractions", "at least one Byzantine fraction is required")
+    def _check_axes(self, kind: Kind) -> None:
+        """Axes the kind spans are non-empty (exactly one value where the
+        kind pins them) and in vocabulary; the others sit at their
+        defaults."""
         # The gradient-estimation abstraction measures robust rules that
-        # assume a strict minority; the trainer-based grid deliberately
-        # sweeps past the theoretical bound (Table V goes to 65 %).
-        limit = 1.0 if self.kind == "accuracy_grid" else 0.5
-        for i, fraction in enumerate(self.fractions):
-            if not (isfinite(fraction) and 0.0 <= fraction < limit):
+        # assume a strict minority; the trainer-based grids deliberately
+        # sweep past the theoretical bound (Table V goes to 65 %).
+        limit = kind.fraction_limit
+        attacks, aggregators = kind.attacks(), available_aggregators()
+        rules: dict[str, tuple[Callable[[Any], bool], str]] = {
+            "attacks": (attacks.__contains__, f"available: {sorted(attacks)}"),
+            "defences": (aggregators.__contains__, f"available: {aggregators}"),
+            "fractions": (
+                lambda f: isfinite(f) and 0.0 <= f < limit,
+                f"must be in [0, {limit})",
+            ),
+            "distributions": (
+                ("iid", "noniid").__contains__,
+                "expected 'iid' or 'noniid'",
+            ),
+            "schemes": (
+                SCHEME_DESCRIPTIONS.__contains__,
+                f"expected one of {sorted(SCHEME_DESCRIPTIONS)}",
+            ),
+        }
+        for axis in AXES:
+            accepts, expectation = rules[axis]
+            values = getattr(self, axis)
+            if axis not in kind.axes:
+                self._require_default(axis)
+                continue
+            if not values:
+                _fail(axis, "at least one value is required")
+            if axis in kind.single and len(values) != 1:
                 _fail(
-                    f"fractions[{i}]",
-                    f"must be in [0, {limit}), got {fraction}",
+                    axis,
+                    f"kind {self.kind!r} takes exactly one value, got "
+                    f"{len(values)}",
                 )
+            for i, value in enumerate(values):
+                if not accepts(value):
+                    _fail(
+                        f"{axis}[{i}]",
+                        f"{value!r} is not valid for kind {self.kind!r}; "
+                        f"{expectation}",
+                    )
 
-    def _validate_attacks(self) -> None:
-        if not self.attacks:
-            _fail("attacks", "at least one attack is required ('none' is valid)")
-        if self.kind == "accuracy_grid":
-            known: tuple[str, ...] = DATA_ATTACKS
-            label = "data-poisoning attack"
-        else:
-            known = ("none", *available_attacks())
-            label = "model attack"
-        for i, attack in enumerate(self.attacks):
-            if attack not in known:
-                _fail(
-                    f"attacks[{i}]",
-                    f"unknown {label} {attack!r}; available: {sorted(known)}",
-                )
+    def _require_default(self, name: str) -> None:
+        if getattr(self, name) != _DEFAULTS[name]:
+            _fail(name, f"not used by kind {self.kind!r}")
 
-    def _require_default(self, name: str, default: object, hint: str) -> None:
-        if getattr(self, name) != default:
-            _fail(name, f"only meaningful for {hint}")
+    def _check_choice(self, name: str, known: tuple[str, ...]) -> None:
+        value = getattr(self, name)
+        if value not in known:
+            _fail(name, f"unknown {name} {value!r}; available: {list(known)}")
 
-    def _validate_accuracy_grid(self) -> None:
-        if self.defences:
-            _fail(
-                "defences",
-                "not used by kind 'accuracy_grid' (the paper pairing — "
-                "multikrum for IID, median for non-IID — is applied per "
-                "distribution)",
-            )
-        if not self.distributions:
-            _fail("distributions", "at least one distribution is required")
-        for i, dist in enumerate(self.distributions):
-            if dist not in ("iid", "noniid"):
-                _fail(
-                    f"distributions[{i}]",
-                    f"unknown distribution {dist!r}; expected 'iid' or 'noniid'",
-                )
+    def _check_n_runs(self) -> None:
         if self.n_runs < 1:
             _fail("n_runs", f"must be >= 1, got {self.n_runs}")
-        if self.placement not in PLACEMENTS:
-            _fail(
-                "placement",
-                f"unknown placement {self.placement!r}; expected one of "
-                f"{list(PLACEMENTS)}",
-            )
-        if self.top_consensus not in CONSENSUS_NAMES:
-            _fail(
-                "top_consensus",
-                f"unknown consensus {self.top_consensus!r}; available: "
-                f"{list(CONSENSUS_NAMES)}",
-            )
-        self.topology.validate()
-        self.data.validate()
-        self.training.validate()
-        hint = "gradient-estimation kinds (defence_matrix / breakdown_curve)"
-        self._require_default("estimation", EstimationSpec(), hint)
-        self._require_default("defence_options", None, hint)
-        self._require_default("attack_options", {}, hint)
-        self._require_default("consensus", None, hint)
-        self._require_default("consensus_adversary", "none", hint)
-        self._require_default("consensus_options", {}, hint)
-        self._require_default("drop_fraction", 0.0, hint)
-        self._require_default("faults", None, hint)
 
-    def _validate_gradient_grid(self) -> None:
-        if not self.defences:
-            _fail("defences", "at least one defence is required")
-        known = available_aggregators()
-        for i, defence in enumerate(self.defences):
-            if defence not in known:
-                _fail(
-                    f"defences[{i}]",
-                    f"unknown aggregation rule {defence!r}; available: {known}",
-                )
-        if self.kind == "breakdown_curve":
-            if len(self.defences) != 1:
-                _fail(
-                    "defences",
-                    "breakdown_curve sweeps one (defence, attack) pair, got "
-                    f"{len(self.defences)} defences",
-                )
-            if len(self.attacks) != 1:
-                _fail(
-                    "attacks",
-                    "breakdown_curve sweeps one (defence, attack) pair, got "
-                    f"{len(self.attacks)} attacks",
-                )
-        self.estimation.validate()
-        if self.consensus is not None and self.consensus not in CONSENSUS_NAMES:
-            _fail(
-                "consensus",
-                f"unknown consensus {self.consensus!r}; available: "
-                f"{list(CONSENSUS_NAMES)}",
-            )
-        if self.consensus_adversary not in ADVERSARIES:
-            _fail(
-                "consensus_adversary",
-                f"unknown consensus adversary {self.consensus_adversary!r}; "
-                f"available: {list(ADVERSARIES)}",
-            )
+    def _check_consensus(self) -> None:
+        if self.consensus is not None:
+            self._check_choice("consensus", CONSENSUS_NAMES)
+
+    def _check_consensus_adversary(self) -> None:
+        self._check_choice("consensus_adversary", tuple(ADVERSARIES))
         # Mirror _make_cell_consensus: adversaries and fault plans are only
         # simulated by the message-driven 'acs' backend.
         if self.consensus_adversary != "none" and self.consensus != "acs":
@@ -444,47 +401,49 @@ class ScenarioSpec:
                 "consensus-level adversaries require consensus = 'acs', got "
                 f"consensus = {self.consensus!r}",
             )
-        if self.faults is not None:
-            if self.consensus != "acs":
-                _fail(
-                    "faults",
-                    "fault plans only apply to the message-driven 'acs' "
-                    f"backend, got consensus = {self.consensus!r}",
-                )
-            self.faults.validate()
+
+    def _check_consensus_options(self) -> None:
         if self.consensus_options and self.consensus is None:
             _fail(
                 "consensus_options",
                 "consensus options require a consensus backend",
             )
+
+    def _check_drop_fraction(self) -> None:
         if not (isfinite(self.drop_fraction) and 0.0 <= self.drop_fraction < 1.0):
             _fail(
                 "drop_fraction",
                 f"must be in [0, 1), got {self.drop_fraction}",
             )
-        hint = "kind 'accuracy_grid'"
-        self._require_default("topology", TopologySpec(), hint)
-        self._require_default("data", DataSpec(), hint)
-        self._require_default("training", TrainingSpec(), hint)
-        self._require_default("n_runs", 1, hint)
-        self._require_default("placement", "prefix", hint)
-        self._require_default("top_consensus", "voting", hint)
-        self._require_default("top_options", {}, hint)
-        self._require_default("distributions", ("iid",), hint)
+
+    def _check_pipeline(self) -> None:
+        self.pipeline.validate()
+        # EventDrivenRun raises the flag strictly above the bottom level.
+        bottom = self.topology.n_levels - 1
+        if self.pipeline.flag_level >= bottom:
+            _fail(
+                "pipeline.flag_level",
+                f"must be in [0, {bottom}) for topology.n_levels = "
+                f"{self.topology.n_levels}, got {self.pipeline.flag_level}",
+            )
+
+    def _check_faults(self) -> None:
+        if self.faults is None:
+            return
+        if self.consensus != "acs":
+            _fail(
+                "faults",
+                "fault plans only apply to the message-driven 'acs' "
+                f"backend, got consensus = {self.consensus!r}",
+            )
+        self.faults.validate()
 
     # ------------------------------------------------------------------
     # conversions
     # ------------------------------------------------------------------
-    @property
-    def effective_metrics(self) -> tuple[str, ...]:
-        """The metrics the runner reports (kind default when unset)."""
-        return self.metrics or KIND_METRICS[self.kind]
-
-    def base_experiment_config(self) -> "ExperimentConfig":
-        """The :class:`ExperimentConfig` every accuracy-grid cell derives
+    def base_experiment_config(self) -> ExperimentConfig:
+        """The :class:`ExperimentConfig` every trainer-based cell derives
         from (per-cell attack/fraction/distribution applied on top)."""
-        from repro.experiments.setup import ExperimentConfig
-
         return ExperimentConfig(
             n_levels=self.topology.n_levels,
             cluster_size=self.topology.cluster_size,
@@ -511,45 +470,32 @@ class ScenarioSpec:
     def to_dict(self) -> dict[str, Any]:
         """The strict dict form (inverse of :meth:`from_dict`).
 
-        Only kind-relevant fields are emitted; irrelevant fields are
-        guaranteed (by :meth:`validate`) to sit at their defaults, so
-        the round trip is the identity.
+        Only the kind's axes and sections are emitted; every other field
+        is guaranteed (by :meth:`validate`) to sit at its default, so the
+        round trip is the identity.
         """
+        kind = KINDS[self.kind]
         out: dict[str, Any] = {"name": self.name, "kind": self.kind}
         if self.description:
             out["description"] = self.description
         out["seed"] = self.seed
         out["seed_policy"] = self.seed_policy
-        if self.metrics:
-            out["metrics"] = list(self.metrics)
-        if self.kind in _GRADIENT_KINDS:
-            out["defences"] = list(self.defences)
-        out["attacks"] = list(self.attacks)
-        out["fractions"] = list(self.fractions)
-        if self.kind == "accuracy_grid":
-            out["distributions"] = list(self.distributions)
-            out["n_runs"] = self.n_runs
-            out["placement"] = self.placement
-            out["top_consensus"] = self.top_consensus
-            out["topology"] = _sub_to_dict(self.topology)
-            out["data"] = _sub_to_dict(self.data)
-            out["training"] = _sub_to_dict(self.training)
-            if self.top_options:
-                out["top_options"] = dict(self.top_options)
-        else:
-            if self.consensus is not None:
-                out["consensus"] = self.consensus
-            out["consensus_adversary"] = self.consensus_adversary
-            out["drop_fraction"] = self.drop_fraction
-            out["estimation"] = _sub_to_dict(self.estimation)
-            if self.defence_options is not None:
-                out["defence_options"] = dict(self.defence_options)
-            if self.attack_options:
-                out["attack_options"] = dict(self.attack_options)
-            if self.consensus_options:
-                out["consensus_options"] = dict(self.consensus_options)
-            if self.faults is not None:
-                out["faults"] = _sub_to_dict(self.faults)
+        for axis in AXES:
+            if axis in kind.axes:
+                out[axis] = list(getattr(self, axis))
+        for name in _SECTION_CHECKS:
+            value = getattr(self, name)
+            # None / {} defaults mean "absent": TOML has no null, and an
+            # empty table would read back identically anyway.
+            absent = _DEFAULTS[name] in (None, {}) and value == _DEFAULTS[name]
+            if name not in kind.sections or absent:
+                continue
+            if isinstance(value, dict):
+                out[name] = dict(value)
+            elif isinstance(value, (str, int, float)):
+                out[name] = value
+            else:
+                out[name] = _sub_to_dict(value)
         return out
 
     @classmethod
@@ -569,15 +515,15 @@ class ScenarioSpec:
         def take(key: str) -> Any:
             return data.pop(key, None)
 
-        for key, as_type in (
-            ("name", str),
-            ("kind", str),
-            ("description", str),
-            ("seed_policy", str),
-            ("placement", str),
-            ("top_consensus", str),
-            ("consensus", str),
-            ("consensus_adversary", str),
+        for key in (
+            "name",
+            "kind",
+            "description",
+            "seed_policy",
+            "placement",
+            "top_consensus",
+            "consensus",
+            "consensus_adversary",
         ):
             if key in data:
                 kwargs[key] = _as_str(take(key), key)
@@ -586,17 +532,24 @@ class ScenarioSpec:
                 kwargs[key] = _as_int(take(key), key)
         if "drop_fraction" in data:
             kwargs["drop_fraction"] = _as_float(take("drop_fraction"), "drop_fraction")
-        for key in ("metrics", "attacks", "defences", "distributions"):
+        for key in ("attacks", "defences", "distributions"):
             if key in data:
                 kwargs[key] = _as_str_tuple(take(key), key)
         if "fractions" in data:
             kwargs["fractions"] = _as_float_tuple(take("fractions"), "fractions")
+        if "schemes" in data:
+            kwargs["schemes"] = tuple(
+                _as_int(v, f"schemes[{i}]")
+                for i, v in enumerate(_as_list(take("schemes"), "schemes"))
+            )
         for key, sub in (
             ("topology", TopologySpec),
             ("data", DataSpec),
             ("training", TrainingSpec),
             ("estimation", EstimationSpec),
             ("faults", FaultSpec),
+            ("tolerance", ToleranceSpec),
+            ("pipeline", PipelineSpec),
         ):
             if key in data:
                 kwargs[key] = _sub_from_dict(sub, take(key), key)
@@ -618,6 +571,42 @@ class ScenarioSpec:
             if required not in kwargs:
                 _fail(required, "is required")
         return cls(**kwargs).validate()
+
+
+def _unchecked(spec: ScenarioSpec) -> None:
+    """Free-form option tables: the registry that consumes them validates."""
+
+
+#: Every non-axis optional field with its validator, in ``to_dict`` order;
+#: a kind's ``sections`` names the ones that apply to it, the rest must
+#: sit at their defaults.
+_SECTION_CHECKS: dict[str, Callable[[ScenarioSpec], None]] = {
+    "n_runs": ScenarioSpec._check_n_runs,
+    "placement": lambda spec: spec._check_choice("placement", PLACEMENTS),
+    "top_consensus": lambda spec: spec._check_choice(
+        "top_consensus", CONSENSUS_NAMES
+    ),
+    "consensus": ScenarioSpec._check_consensus,
+    "consensus_adversary": ScenarioSpec._check_consensus_adversary,
+    "drop_fraction": ScenarioSpec._check_drop_fraction,
+    "topology": lambda spec: spec.topology.validate(),
+    "data": lambda spec: spec.data.validate(),
+    "training": lambda spec: spec.training.validate(),
+    "estimation": lambda spec: spec.estimation.validate(),
+    "tolerance": lambda spec: spec.tolerance.validate(),
+    "pipeline": ScenarioSpec._check_pipeline,
+    "top_options": _unchecked,
+    "defence_options": _unchecked,
+    "attack_options": _unchecked,
+    "consensus_options": ScenarioSpec._check_consensus_options,
+    "faults": ScenarioSpec._check_faults,
+}
+
+_DEFAULTS: dict[str, Any] = {
+    f.name: f.default if f.default is not MISSING else f.default_factory()  # type: ignore[misc]
+    for f in dataclass_fields(ScenarioSpec)
+    if f.name in AXES or f.name in _SECTION_CHECKS
+}
 
 
 # ----------------------------------------------------------------------
@@ -706,10 +695,10 @@ def _as_list(value: Any, path: str) -> list:
 
 
 # ----------------------------------------------------------------------
-# spec builders (the legacy entrypoints construct specs through these)
+# spec builders
 # ----------------------------------------------------------------------
 def accuracy_spec(
-    config: "ExperimentConfig | None" = None,
+    config: ExperimentConfig | None = None,
     *,
     name: str = "accuracy-grid",
     description: str = "",
@@ -724,11 +713,8 @@ def accuracy_spec(
 
     Per-cell fields of ``config`` (``iid`` / ``attack`` /
     ``malicious_fraction``) and the per-distribution aggregator pairing
-    are grid concerns and are ignored here, exactly as
-    :func:`repro.experiments.table5.run_table5` always did.
+    are grid concerns and are ignored here.
     """
-    from repro.experiments.setup import ExperimentConfig
-
     config = config or ExperimentConfig()
     return ScenarioSpec(
         name=name,
@@ -786,18 +772,8 @@ def matrix_spec(
     defence_options: dict | None = None,
     attack_options: dict | None = None,
     faults: FaultSpec | None = None,
-    fault_plan: FaultPlan | None = None,
 ) -> ScenarioSpec:
-    """A gradient-estimation spec (defence matrix or breakdown curve).
-
-    ``fault_plan`` accepts a ready :class:`FaultPlan` for legacy callers;
-    it must be uniform (:meth:`FaultSpec.from_plan`) and is mutually
-    exclusive with ``faults``.
-    """
-    if fault_plan is not None:
-        if faults is not None:
-            _fail("faults", "pass either faults or fault_plan, not both")
-        faults = FaultSpec.from_plan(fault_plan)
+    """A gradient-estimation spec (defence matrix or breakdown curve)."""
     return ScenarioSpec(
         name=name,
         kind=kind,

@@ -20,7 +20,7 @@ from abdlint import arch, registry, seedflow  # noqa: E402
 from abdlint.cache import ENGINE_VERSION, SummaryCache  # noqa: E402
 from abdlint.engine import build_summary, discover, run_engine  # noqa: E402
 from abdlint.findings import RULES, module_name  # noqa: E402
-from abdlint.project import Project, summarize_source, summarize_toml  # noqa: E402
+from abdlint.project import Project, summarize_source  # noqa: E402
 from abdlint.sarif import to_sarif  # noqa: E402
 from abdlint.selftest import self_test  # noqa: E402
 
@@ -85,36 +85,14 @@ class TestModuleSummary:
         )
         assert s.registrations["aggregators"] == [["myrule", 2]]
 
-    def test_factories_and_kinds_capture(self):
+    def test_factories_capture(self):
         s = summarize_source(
             "src/repro/consensus/registry.py",
-            "_FACTORIES = {'voting': VotingConsensus}\nKINDS = ('a_grid',)\n",
+            "_FACTORIES = {'voting': VotingConsensus}\n",
         )
         assert s.registrations["consensus_factories"] == [
             ["voting", "VotingConsensus", 1]
         ]
-        assert s.registrations["scenario_kinds"] == [["a_grid", 2]]
-
-    def test_kind_branch_capture(self):
-        s = summarize_source(
-            "src/repro/scenario/runner.py",
-            "def run(spec):\n"
-            "    if spec.kind == 'accuracy_grid':\n"
-            "        return 1\n"
-            "    if spec.kind in ('defence_matrix', 'breakdown_curve'):\n"
-            "        return 2\n",
-        )
-        assert set(s.registrations["kind_branches"]) == {
-            "accuracy_grid",
-            "defence_matrix",
-            "breakdown_curve",
-        }
-
-    def test_toml_summary_records_kind(self):
-        s = summarize_toml(
-            "src/repro/scenario/specs/x.toml", 'kind = "accuracy_grid"\n'
-        )
-        assert s.registrations["toml_kind"] == "accuracy_grid"
 
     def test_rng_site_capture(self):
         s = summarize_source(
@@ -361,43 +339,6 @@ class TestRegistryRule:
         assert [f.rule for f in findings] == ["REG001"]
         assert "ghost" in findings[0].message
 
-    def test_kind_without_branch_or_spec_is_caught(self):
-        project = project_from(
-            {
-                "src/repro/scenario/spec.py": "KINDS = ('a_grid', 'b_curve')\n",
-                "src/repro/scenario/grid.py": (
-                    "def expand(spec):\n"
-                    "    if spec.kind == 'a_grid':\n"
-                    "        return []\n"
-                ),
-            }
-        )
-        findings = registry.run(project)
-        assert [f.rule for f in findings] == ["REG001"]
-        assert "b_curve" in findings[0].message and "runner branch" in findings[0].message
-
-    def test_unknown_spec_kind_is_caught(self):
-        project = project_from(
-            {
-                "src/repro/scenario/spec.py": "KINDS = ('a_grid',)\n",
-                "src/repro/scenario/grid.py": (
-                    "def expand(spec):\n"
-                    "    if spec.kind == 'a_grid':\n"
-                    "        return []\n"
-                ),
-            }
-        )
-        toml = summarize_toml(
-            "src/repro/scenario/specs/odd.toml", 'kind = "z_grid"\n'
-        )
-        findings = registry.run(
-            Project(list(project.summaries) + [toml])
-        )
-        messages = [f.message for f in findings]
-        assert any("unknown kind 'z_grid'" in m for m in messages)
-        # and a_grid now lacks a shipped spec:
-        assert any("no shipped spec" in m for m in messages)
-
     def test_real_tree_is_clean(self):
         result = run_engine(
             [str(REPO / "src"), str(REPO / "tests")],
@@ -419,10 +360,10 @@ def test_select_unknown_rule_raises():
         run_engine([str(REPO / "src")], select={"NOPE999"}, use_cache=False)
 
 
-def test_discovery_skips_fixture_tree_and_finds_specs():
+def test_discovery_skips_fixture_tree():
     files = discover([str(REPO / "tools"), str(REPO / "src")])
     assert not any("abdlint/fixtures" in f for f in files)
-    assert any(f.endswith("specs/table5.toml") for f in files)
+    assert files and all(f.endswith(".py") for f in files)
 
 
 # ----------------------------------------------------------------------

@@ -5,9 +5,21 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.experiments.matrix import breakdown_curve
 from repro.experiments.setup import ExperimentConfig, prepare_data
 from repro.experiments import build_abdhfl_trainer
+from repro.scenario import matrix_spec, run_scenario
+
+
+def breakdown_curve(defence, attack, fractions, **estimation):
+    """The cells of a ``breakdown_curve`` scenario for one pair."""
+    spec = matrix_spec(
+        kind="breakdown_curve",
+        defences=(defence,),
+        attacks=(attack,),
+        fractions=fractions,
+        **estimation,
+    )
+    return run_scenario(spec).cells
 
 
 class TestBreakdownCurve:

@@ -634,7 +634,7 @@ class TestMatrixConsensusAxis:
     KW = dict(
         defences=("median",),
         attacks=("sign_flip",),
-        byzantine_fraction=0.2,
+        fractions=(0.2,),
         n_total=7,
         dim=8,
         n_trials=2,
@@ -645,9 +645,9 @@ class TestMatrixConsensusAxis:
     )
 
     def test_cells_carry_consensus_labels(self):
-        from repro.experiments.matrix import run_defence_matrix
+        from repro.scenario import matrix_spec, run_scenario
 
-        cells = run_defence_matrix(workers=1, **self.KW)
+        cells = run_scenario(matrix_spec(**self.KW), workers=1).cells
         assert all(c.consensus == "acs" for c in cells)
         assert all(c.consensus_adversary == "equivocate" for c in cells)
         assert all(np.isfinite(c.gap) for c in cells)
@@ -670,12 +670,11 @@ class TestMatrixConsensusAxis:
     def test_bit_identical_across_worker_counts(self):
         """The acs matrix under an active fault plan shards cleanly:
         REPRO_WORKERS is a pure wall-clock knob, never a results knob."""
-        from repro.experiments.matrix import run_defence_matrix
+        from repro.scenario import FaultSpec, matrix_spec, run_scenario
 
-        kw = dict(
-            self.KW,
-            fault_plan=FaultPlan.uniform(drop_probability=0.05, seed=11),
+        spec = matrix_spec(
+            **self.KW, faults=FaultSpec(drop_probability=0.05, seed=11)
         )
-        serial = run_defence_matrix(workers=1, **kw)
-        sharded = run_defence_matrix(workers=2, **kw)
-        assert serial == sharded
+        serial = run_scenario(spec, workers=1)
+        sharded = run_scenario(spec, workers=2)
+        assert serial.cells == sharded.cells

@@ -10,13 +10,12 @@ from repro.experiments import (
     build_abdhfl_trainer,
     build_vanilla_trainer,
     prepare_data,
-    run_defence_matrix,
-    run_figure3,
     gradient_gap,
+    train_systems,
 )
 from repro.experiments.table5 import Table5Cell, format_table5, run_cell
-from repro.experiments.theorem2 import run_theorem2
-from repro.experiments.schemes import run_scheme_comparison
+from repro.scenario import ToleranceSpec, matrix_spec, run_scenario
+from test_scenario_equivalence import tiny_spec
 
 
 TINY = ExperimentConfig(
@@ -94,6 +93,17 @@ class TestBuilders:
         np.testing.assert_array_equal(abd.global_model, van.global_model)
         assert set(abd.trainers) == set(van.trainers)
 
+    def test_train_systems_runs_requested_systems_per_seed(self):
+        runs = list(train_systems(TINY, n_runs=2))
+        assert len(runs) == 2
+        for data, trainers in runs:
+            assert list(trainers) == ["abdhfl", "vanilla"]
+            assert all(len(t.history) == TINY.n_rounds for t in trainers.values())
+        # sibling seeds: the two runs draw different data
+        assert runs[0][0].seed != runs[1][0].seed
+        [(data, trainers)] = train_systems(TINY, systems=("abdhfl",))
+        assert list(trainers) == ["abdhfl"] and data.seed == TINY.seed
+
     def test_run_cell(self):
         cell = run_cell(TINY, n_runs=1)
         assert isinstance(cell, Table5Cell)
@@ -112,45 +122,60 @@ class TestBuilders:
 
 class TestFigure3:
     def test_curve_structure(self):
-        abd, van = run_figure3(TINY, n_runs=2)
+        spec = tiny_spec("convergence", (0.0,), config=TINY, n_runs=2)
+        [cell] = run_scenario(spec).cells
+        abd, van = cell.abdhfl, cell.vanilla
         assert abd.mean.shape == (TINY.n_rounds,)
         assert abd.runs.shape == (2, TINY.n_rounds)
         assert np.all(abd.ci_half_width >= 0)
         assert abd.label == "ABD-HFL" and van.label == "Vanilla FL"
 
     def test_n_runs_validation(self):
-        with pytest.raises(ValueError):
-            run_figure3(TINY, n_runs=0)
+        with pytest.raises(ValueError, match="n_runs"):
+            run_scenario(tiny_spec("convergence", (0.0,), config=TINY, n_runs=0))
 
 
 class TestTheorem2Experiment:
     def test_bound_and_points(self):
-        bound, points = run_theorem2(
-            replace(TINY, n_levels=2, n_rounds=2),
-            fractions=(0.0, 0.5),
-            gamma1=0.25,
-            gamma2=0.25,
+        result = run_scenario(
+            tiny_spec(
+                "tolerance_sweep",
+                (0.0, 0.5),
+                config=replace(TINY, n_levels=2, n_rounds=2),
+                tolerance=ToleranceSpec(gamma1=0.25, gamma2=0.25),
+            )
         )
+        points = result.cells
         # 2 levels -> bottom level 1 -> 1 - 0.75*0.75 = 0.4375
-        assert bound == pytest.approx(0.4375)
+        assert "bound 43.7500%" in result.table
         assert len(points) == 2
         assert points[0].below_bound and not points[1].below_bound
 
 
 class TestSchemeComparison:
     def test_all_schemes_run(self):
-        outcomes = run_scheme_comparison(
-            replace(TINY, malicious_fraction=0.25, n_rounds=2)
-        )
+        outcomes = run_scenario(
+            tiny_spec(
+                "scheme_comparison",
+                (0.25,),
+                config=replace(TINY, n_rounds=2),
+                schemes=(1, 2, 3, 4),
+            )
+        ).cells
         assert [o.scheme for o in outcomes] == [1, 2, 3, 4]
         for o in outcomes:
             assert 0.0 <= o.final_accuracy <= 1.0
             assert o.analytic_model_messages > 0
 
     def test_cost_ordering_matches_table4(self):
-        outcomes = run_scheme_comparison(
-            replace(TINY, malicious_fraction=0.25, n_rounds=2)
-        )
+        outcomes = run_scenario(
+            tiny_spec(
+                "scheme_comparison",
+                (0.25,),
+                config=replace(TINY, n_rounds=2),
+                schemes=(1, 2, 3, 4),
+            )
+        ).cells
         by_scheme = {o.scheme: o.analytic_model_messages for o in outcomes}
         assert by_scheme[3] == min(by_scheme.values())
         assert by_scheme[4] == max(by_scheme.values())
@@ -171,11 +196,14 @@ class TestDefenceMatrix:
         assert broken > 10 * robust
 
     def test_matrix_shape(self):
-        cells = run_defence_matrix(
-            defences=("fedavg", "median"),
-            attacks=("sign_flip", "ipm"),
-            n_trials=2,
-        )
+        cells = run_scenario(
+            matrix_spec(
+                defences=("fedavg", "median"),
+                attacks=("sign_flip", "ipm"),
+                fractions=(0.25,),
+                n_trials=2,
+            )
+        ).cells
         assert len(cells) == 4
 
     def test_validation(self):

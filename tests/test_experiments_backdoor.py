@@ -7,11 +7,10 @@ import pytest
 
 from repro.data.dataset import Dataset
 from repro.experiments import ExperimentConfig
-from repro.experiments.backdoor import (
-    attack_success_rate,
-    run_backdoor,
-)
+from repro.experiments.backdoor import attack_success_rate
 from repro.nn.model import MLP
+from repro.scenario import run_scenario
+from test_scenario_equivalence import tiny_spec
 
 TINY = ExperimentConfig(
     n_levels=2,
@@ -22,8 +21,16 @@ TINY = ExperimentConfig(
     n_test=200,
     n_rounds=3,
     hidden=(16,),
-    malicious_fraction=0.25,
 )
+
+
+def run_backdoor(config, fraction):
+    """The single cell of a TINY-scale ``backdoor`` scenario."""
+    spec = tiny_spec(
+        "backdoor", (fraction,), config=config, attacks=("backdoor",)
+    )
+    [cell] = run_scenario(spec).cells
+    return cell
 
 
 class TestAttackSuccessRate:
@@ -59,15 +66,18 @@ class TestAttackSuccessRate:
 
 class TestRunBackdoor:
     def test_returns_both_outcomes(self):
-        abd, van = run_backdoor(TINY)
-        assert abd.label == "ABD-HFL" and van.label == "Vanilla FL"
-        for outcome in (abd, van):
-            assert 0.0 <= outcome.clean_accuracy <= 1.0
-            assert 0.0 <= outcome.attack_success_rate <= 1.0
+        cell = run_backdoor(TINY, 0.25)
+        assert cell.malicious_fraction == 0.25
+        for score in (
+            cell.abdhfl_accuracy,
+            cell.abdhfl_asr,
+            cell.vanilla_accuracy,
+            cell.vanilla_asr,
+        ):
+            assert 0.0 <= score <= 1.0
 
     def test_no_adversaries_low_asr(self):
-        cfg = replace(TINY, malicious_fraction=0.0, n_rounds=6)
-        abd, van = run_backdoor(cfg)
+        cell = run_backdoor(replace(TINY, n_rounds=6), 0.0)
         # without backdoor clients the trigger should rarely hit the target
-        assert abd.attack_success_rate < 0.5
-        assert van.attack_success_rate < 0.5
+        assert cell.abdhfl_asr < 0.5
+        assert cell.vanilla_asr < 0.5

@@ -20,9 +20,10 @@ import numpy as np
 import pytest
 
 from repro.cli import main
-from repro.experiments.matrix import gradient_gap, run_defence_matrix
+from repro.experiments.matrix import gradient_gap
 from repro.obs import audit
 from repro.obs.audit_report import build_audit_report, diff_audit
+from repro.scenario import matrix_spec, run_scenario
 from test_determinism_subprocess import _run_child
 
 # ----------------------------------------------------------------------
@@ -168,10 +169,13 @@ def test_ground_truth_matches_injected_attackers():
 def test_audit_stream_worker_invariant_in_process():
     def jsonl(workers: int) -> str:
         with audit.scoped(audit.Auditor()) as au:
-            run_defence_matrix(
-                defences=("median", "krum"),
-                attacks=("sign_flip",),
-                n_trials=1,
+            run_scenario(
+                matrix_spec(
+                    defences=("median", "krum"),
+                    attacks=("sign_flip",),
+                    fractions=(0.25,),
+                    n_trials=1,
+                ),
                 workers=workers,
             )
         assert au.records, "audited sweep recorded nothing"
@@ -182,16 +186,19 @@ def test_audit_stream_worker_invariant_in_process():
 
 AUDIT_CHILD = """
 import hashlib
-from repro.experiments.matrix import run_defence_matrix
 from repro.obs import audit
+from repro.scenario import matrix_spec, run_scenario
 
 with audit.scoped(audit.Auditor()) as au:
-    run_defence_matrix(
-        defences=("median", "trimmed_mean", "krum"),
-        attacks=("sign_flip", "scaling"),
-        n_trials=2,
-        n_total=8,
-        dim=6,
+    run_scenario(
+        matrix_spec(
+            defences=("median", "trimmed_mean", "krum"),
+            attacks=("sign_flip", "scaling"),
+            fractions=(0.25,),
+            n_trials=2,
+            n_total=8,
+            dim=6,
+        )
     )
 print(hashlib.sha256(au.to_jsonl().encode()).hexdigest())
 """
@@ -340,17 +347,26 @@ def test_cli_audited_matrix_end_to_end(tmp_path, capsys):
     """--audit on a defence-matrix run writes records + manifest that the
     audit command consumes, and whose ground truth names the injected
     attacker set exactly."""
+    from repro.scenario import dump_scenario
+
+    spec_path = tmp_path / "matrix.toml"
+    dump_scenario(
+        matrix_spec(
+            defences=("median", "krum"),
+            attacks=("sign_flip", "scaling"),
+            fractions=(0.25,),
+            n_total=8,
+            dim=6,
+            n_trials=1,
+        ),
+        spec_path,
+    )
     jsonl = tmp_path / "run" / "audit.jsonl"
-    assert main(
-        [
-            "--audit", str(jsonl),
-            "matrix", "--n-total", "8", "--dim", "6", "--trials", "1",
-        ]
-    ) == 0
+    assert main(["--audit", str(jsonl), "scenario", "run", str(spec_path)]) == 0
     capsys.readouterr()
     assert jsonl.is_file()
     manifest = audit.load_manifest(audit.manifest_path_for(jsonl))
-    assert manifest["command"] == "matrix"
+    assert manifest["command"] == "scenario"
     records, skipped = audit.load_audit(jsonl, strict=True)
     assert skipped == []
     truth = [r for r in records if r["kind"] == "ground_truth"]
@@ -362,12 +378,7 @@ def test_cli_audited_matrix_end_to_end(tmp_path, capsys):
 
 
 def test_scenario_persist_artifacts(tmp_path):
-    from repro.scenario.runner import (
-        ScenarioRunner,
-        persist_result,
-        run_manifest,
-    )
-    from repro.scenario.spec import matrix_spec
+    from repro.scenario import ScenarioRunner, persist_result, run_manifest
 
     spec = matrix_spec(
         name="persist-test",

@@ -13,15 +13,10 @@ import pytest
 
 from repro.core.config import ABDHFLConfig
 from repro.experiments import matrix
-from repro.experiments.matrix import (
-    DEFENCE_OPTIONS,
-    MatrixCell,
-    breakdown_curve,
-    defence_options_for,
-    run_defence_matrix,
-)
+from repro.experiments.matrix import MatrixCell, defence_options_for
 from repro.obs import Tracer, trace
 from repro.parallel import ENV_VAR, env_workers, parallel_map, resolve_workers
+from repro.scenario import matrix_spec, run_scenario
 
 
 @pytest.fixture(autouse=True)
@@ -133,13 +128,6 @@ class TestDefenceOptionsFor:
         for defence in ("fedavg", "median", "geomed", "centered_clipping"):
             assert defence_options_for(defence, 0.40) is None
 
-    def test_legacy_table_is_the_25_percent_view(self):
-        assert DEFENCE_OPTIONS == {
-            "trimmed_mean": {"beta": 0.25},
-            "krum": {"byzantine_fraction": 0.25},
-            "multikrum": {"byzantine_fraction": 0.25},
-        }
-
 
 class TestMatrixUsesDerivedOptions:
     @pytest.mark.parametrize("fraction", [0.10, 0.40])
@@ -156,12 +144,14 @@ class TestMatrixUsesDerivedOptions:
             return real(name, **options)
 
         monkeypatch.setattr(matrix, "get_aggregator", recording)
-        cells = run_defence_matrix(
-            defences=("trimmed_mean", "krum", "median"),
-            attacks=("sign_flip",),
-            byzantine_fraction=fraction,
-            n_trials=1,
-        )
+        cells = run_scenario(
+            matrix_spec(
+                defences=("trimmed_mean", "krum", "median"),
+                attacks=("sign_flip",),
+                fractions=(fraction,),
+                n_trials=1,
+            )
+        ).cells
         assert seen["trimmed_mean"] == {"beta": fraction}
         assert seen["krum"] == {"byzantine_fraction": fraction}
         assert seen["median"] == {}
@@ -177,15 +167,26 @@ class TestMatrixUsesDerivedOptions:
             return real(name, **options)
 
         monkeypatch.setattr(matrix, "get_aggregator", recording)
-        cells = breakdown_curve(
-            "trimmed_mean", "sign_flip", fractions=(0.1, 0.3), n_trials=1
-        )
+        cells = run_scenario(
+            matrix_spec(
+                kind="breakdown_curve",
+                defences=("trimmed_mean",),
+                attacks=("sign_flip",),
+                fractions=(0.1, 0.3),
+                n_trials=1,
+            )
+        ).cells
         assert betas == [0.1, 0.3]
         assert [c.attack for c in cells] == ["sign_flip", "sign_flip"]
 
     def test_breakdown_curve_rejects_untrimmable_fractions(self):
         with pytest.raises(ValueError, match=r"\[0, 0.5\)"):
-            breakdown_curve("median", "sign_flip", fractions=(0.5,))
+            matrix_spec(
+                kind="breakdown_curve",
+                defences=("median",),
+                attacks=("sign_flip",),
+                fractions=(0.5,),
+            )
 
     def test_cells_are_plain_dataclasses(self):
         cell = MatrixCell("median", "sign_flip", 0.25, 1.0)

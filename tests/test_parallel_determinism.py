@@ -40,10 +40,10 @@ from repro.core.pool import (
 )
 from repro.core.trainer import ABDHFLTrainer
 from repro.core.vanilla import VanillaFLTrainer
-from repro.experiments.matrix import run_defence_matrix
 from repro.nn.model import MLP
 from repro.obs import Tracer, trace
 from repro.parallel import ParameterSlab
+from repro.scenario import matrix_spec, run_scenario
 from repro.utils.seeding import seeded_generator
 from test_core_trainer import default_config, small_setup
 from test_determinism_subprocess import (
@@ -60,16 +60,17 @@ TABLE5_CHILD = """
 import hashlib
 import numpy as np
 from repro.experiments import ExperimentConfig
-from repro.experiments.table5 import run_table5
+from repro.scenario import accuracy_spec, run_scenario
 
 cfg = ExperimentConfig(
     n_levels=2, cluster_size=4, n_top=2, image_side=8,
     samples_per_client=50, n_test=200, n_rounds=2, hidden=(16,),
 )
-cells = run_table5(
-    cfg, fractions=(0.0, 0.5), distributions=(True,), attacks=("type1",),
-    n_runs=1,
-)
+cells = run_scenario(
+    accuracy_spec(
+        cfg, fractions=(0.0, 0.5), distributions=("iid",), attacks=("type1",),
+    )
+).cells
 digest = hashlib.sha256()
 for c in cells:
     digest.update(np.float64(c.malicious_fraction).tobytes())
@@ -221,14 +222,14 @@ def test_config_workers_validated_and_serial_by_default():
 
 @pytest.mark.slow
 def test_matrix_cells_identical_across_worker_counts():
-    kwargs = dict(
+    spec = matrix_spec(
         defences=("median", "trimmed_mean", "krum"),
         attacks=("sign_flip", "scaling"),
-        byzantine_fraction=0.25,
+        fractions=(0.25,),
         n_trials=2,
     )
-    serial = run_defence_matrix(workers=1, **kwargs)
-    sharded = run_defence_matrix(workers=3, **kwargs)
+    serial = run_scenario(spec, workers=1).cells
+    sharded = run_scenario(spec, workers=3).cells
     # Dataclass equality is exact: the gap floats must match bit for bit,
     # in the same (defence, attack) order.
     assert serial == sharded
@@ -241,10 +242,13 @@ def test_matrix_trace_is_byte_identical_across_worker_counts():
 
     def jsonl(workers: int) -> str:
         with trace.scoped(Tracer()) as tr:
-            run_defence_matrix(
-                defences=("median", "krum"),
-                attacks=("sign_flip",),
-                n_trials=1,
+            run_scenario(
+                matrix_spec(
+                    defences=("median", "krum"),
+                    attacks=("sign_flip",),
+                    fractions=(0.25,),
+                    n_trials=1,
+                ),
                 workers=workers,
             )
         assert tr.events, "traced sweep recorded nothing"

@@ -1,6 +1,5 @@
 """Scenario-spec contract: round-trip identity, path-named validation
-errors, deterministic grid expansion, and the single-source-of-truth
-import identity for defence option derivation."""
+errors and deterministic grid expansion."""
 
 from __future__ import annotations
 
@@ -9,7 +8,6 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.experiments import matrix
 from repro.experiments.setup import ExperimentConfig
 from repro.faults.plan import FaultPlan, LinkFaults
 from repro.scenario import (
@@ -23,7 +21,6 @@ from repro.scenario import (
     matrix_spec,
     shipped_spec_names,
 )
-from repro.scenario import options as scenario_options
 from repro.utils.seeding import derive_seed
 
 # ----------------------------------------------------------------------
@@ -114,6 +111,12 @@ class TestRoundTrip:
             "defence_matrix_acs",
             "breakdown_krum_alie",
             "smoke",
+            "figure3",
+            "schemes",
+            "backdoor",
+            "tolerance",
+            "pipeline",
+            "table5_paper",
         }
         for name in names:
             spec = load_shipped_spec(name)
@@ -225,6 +228,28 @@ class TestValidationNamesThePath:
                 seed_policy="random",
             )
 
+    def test_pipeline_flag_level_must_sit_above_the_bottom_level(self):
+        spec = dataclasses.replace(
+            load_shipped_spec("pipeline"),
+            topology=dataclasses.replace(
+                load_shipped_spec("pipeline").topology, n_levels=2
+            ),
+        )
+        with pytest.raises(ValueError, match=r"pipeline\.flag_level"):
+            spec.validate()
+
+    def test_single_axes_take_exactly_one_value(self):
+        spec = dataclasses.replace(
+            load_shipped_spec("tolerance"), attacks=("type1", "type2")
+        )
+        with pytest.raises(ValueError, match="attacks.*exactly one"):
+            spec.validate()
+
+    def test_backdoor_kind_only_takes_the_backdoor_attack(self):
+        spec = dataclasses.replace(load_shipped_spec("backdoor"), attacks=("type1",))
+        with pytest.raises(ValueError, match=r"attacks\[0\].*type1"):
+            spec.validate()
+
     def test_breakdown_needs_single_pair(self):
         with pytest.raises(ValueError, match="defences"):
             matrix_spec(
@@ -299,20 +324,6 @@ class TestGridExpansion:
         assert len({c.seed for c in cells}) == 2
 
 
-class TestSingleSourceOfTruth:
-    def test_matrix_imports_scenario_defence_options(self):
-        # The legacy module must re-export the scenario layer's function
-        # object itself — import identity means the two can never diverge.
-        assert matrix.defence_options_for is scenario_options.defence_options_for
-
-    def test_legacy_options_table_derives_from_it(self):
-        assert matrix.DEFENCE_OPTIONS == {
-            "trimmed_mean": {"beta": 0.25},
-            "krum": {"byzantine_fraction": 0.25},
-            "multikrum": {"byzantine_fraction": 0.25},
-        }
-
-
 class TestBuilders:
     def test_accuracy_spec_reproduces_config(self):
         cfg = ExperimentConfig(n_levels=2, n_rounds=3, hidden=(8,), seed=9)
@@ -327,15 +338,3 @@ class TestBuilders:
             partial_aggregator="multikrum",
             partial_options={"byzantine_fraction": 0.25},
         )
-
-    def test_matrix_spec_accepts_legacy_fault_plan(self):
-        plan = FaultPlan.uniform(drop_probability=0.05, seed=11)
-        spec = matrix_spec(
-            defences=("median",),
-            attacks=("sign_flip",),
-            fractions=(0.2,),
-            consensus="acs",
-            fault_plan=plan,
-        )
-        assert spec.faults == FaultSpec(seed=11, drop_probability=0.05)
-        assert spec.fault_plan() == plan

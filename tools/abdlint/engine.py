@@ -19,12 +19,7 @@ from abdlint import arch, registry, seedflow
 from abdlint.cache import CACHE_DIR_NAME, CacheStats, SummaryCache
 from abdlint.findings import PROJECT_RULES, RULES, Finding
 from abdlint.local import lint_source
-from abdlint.project import (
-    ModuleSummary,
-    Project,
-    summarize_source,
-    summarize_toml,
-)
+from abdlint.project import ModuleSummary, Project, summarize_source
 
 _SKIP_DIRS = {
     "__pycache__",
@@ -48,14 +43,12 @@ def _is_fixture(path: Path) -> bool:
 
 
 def discover(paths: Iterable[str]) -> list[str]:
-    """All lintable files under ``paths``: ``*.py`` everywhere plus
-    ``*.toml`` scenario specs (any file under a ``specs`` directory).
-    """
+    """All lintable ``*.py`` files under ``paths``."""
     out: set[str] = set()
     for raw in paths:
         p = Path(raw)
         if p.is_file():
-            if p.suffix in (".py", ".toml") and not _is_fixture(p):
+            if p.suffix == ".py" and not _is_fixture(p):
                 out.add(p.as_posix())
             continue
         for dirpath, dirnames, filenames in os.walk(p):
@@ -66,19 +59,14 @@ def discover(paths: Iterable[str]) -> list[str]:
             if _is_fixture(base):
                 dirnames[:] = []
                 continue
-            in_specs = "specs" in base.parts
             for name in sorted(filenames):
-                if name.endswith(".py") or (
-                    name.endswith(".toml") and in_specs
-                ):
+                if name.endswith(".py"):
                     out.add((base / name).as_posix())
     return sorted(out)
 
 
 def build_summary(path: str, source: str) -> ModuleSummary:
     """Pass 1 for one file: summary + embedded local findings."""
-    if path.endswith(".toml"):
-        return summarize_toml(path, source)
     summary = summarize_source(path, source)
     summary.local_findings = [
         [f.path, f.line, f.col, f.rule, f.message]

@@ -190,8 +190,6 @@ class _SummaryVisitor(ast.NodeVisitor):
         reg.setdefault("aggregators", [])
         reg.setdefault("references", [])
         reg.setdefault("consensus_factories", [])
-        reg.setdefault("scenario_kinds", [])
-        reg.setdefault("kind_branches", [])
         reg.setdefault("dynamic_aggregator_coverage", False)
         reg.setdefault("uses_consensus_names", False)
         if self.s.kind.is_tests:
@@ -333,10 +331,6 @@ class _SummaryVisitor(ast.NodeVisitor):
                 reg["consensus_factories"].append(
                     [key.value, cls_name, key.lineno]
                 )
-        elif name == "KINDS" and isinstance(value, (ast.Tuple, ast.List)):
-            for elt in value.elts:
-                if isinstance(elt, ast.Constant) and isinstance(elt.value, str):
-                    reg["scenario_kinds"].append([elt.value, elt.lineno])
 
     # -- calls / comparisons / names -----------------------------------
     def visit_Call(self, node: ast.Call) -> None:
@@ -388,20 +382,6 @@ class _SummaryVisitor(ast.NodeVisitor):
                 return full, seed_kw
         return None
 
-    def visit_Compare(self, node: ast.Compare) -> None:
-        sides = [node.left, *node.comparators]
-        if any(isinstance(s, ast.Attribute) and s.attr == "kind" for s in sides):
-            for side in sides:
-                if isinstance(side, ast.Constant) and isinstance(side.value, str):
-                    self.s.registrations["kind_branches"].append(side.value)
-                elif isinstance(side, (ast.Tuple, ast.List)):
-                    for elt in side.elts:
-                        if isinstance(elt, ast.Constant) and isinstance(
-                            elt.value, str
-                        ):
-                            self.s.registrations["kind_branches"].append(elt.value)
-        self.generic_visit(node)
-
     def visit_Name(self, node: ast.Name) -> None:
         if self.s.kind.is_tests:
             self._referenced.add(node.id)
@@ -435,23 +415,6 @@ def summarize_source(path: str, source: str) -> ModuleSummary:
     visitor = _SummaryVisitor(summary)
     visitor.visit(tree)
     visitor.finish()
-    return summary
-
-
-def summarize_toml(path: str, source: str) -> ModuleSummary:
-    """A stub summary for a scenario spec file (records its ``kind``)."""
-    summary = ModuleSummary(
-        path=path, module=None, kind=FileKind.from_path(path)
-    )
-    try:
-        import tomllib
-
-        data = tomllib.loads(source)
-    except Exception:
-        return summary
-    kind = data.get("kind")
-    if isinstance(kind, str):
-        summary.registrations["toml_kind"] = kind
     return summary
 
 

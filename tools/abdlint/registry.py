@@ -11,15 +11,11 @@ counterpart that must not drift:
   ``available_aggregators()`` dynamically, or name-by-name otherwise;
 * every key in the consensus ``_FACTORIES`` table must be exercised by
   the property suite (by key, by class name, or wholesale through
-  ``CONSENSUS_NAMES``);
-* every ``ScenarioSpec.KINDS`` entry needs a runner branch
-  (``spec.kind == "..."`` in ``repro.scenario``) and a shipped
-  ``specs/*.toml`` with that kind; a spec file with an unknown kind is
-  flagged too.
+  ``CONSENSUS_NAMES``).
 
-Test/spec-dependent checks only fire when the linted path set actually
-contains test files (resp. spec files), so ``abdlint src/`` alone stays
-quiet about coverage it cannot see.
+Test-dependent checks only fire when the linted path set actually
+contains test files, so ``abdlint src/`` alone stays quiet about
+coverage it cannot see.
 """
 
 from __future__ import annotations
@@ -38,11 +34,7 @@ def run(project: Project) -> list[Finding]:
     aggregators: dict[str, tuple[ModuleSummary, int]] = {}
     references: dict[str, tuple[ModuleSummary, int]] = {}
     factories: list[tuple[ModuleSummary, str, str, int]] = []
-    kinds: list[tuple[ModuleSummary, str, int]] = []
-    kind_branches: set[str] = set()
-    toml_kinds: dict[str, list[ModuleSummary]] = {}
     have_tests = False
-    have_specs = False
     dynamic_coverage = False
     uses_consensus_names = False
     referenced: set[str] = set()
@@ -54,17 +46,6 @@ def run(project: Project) -> list[Finding]:
             references.setdefault(name, (summary, line))
         for key, cls_name, line in _reg(summary, "consensus_factories"):
             factories.append((summary, key, cls_name, line))
-        for kind, line in _reg(summary, "scenario_kinds"):
-            kinds.append((summary, kind, line))
-        if summary.module is not None and summary.module.startswith(
-            "repro.scenario"
-        ):
-            kind_branches.update(summary.registrations.get("kind_branches", []))
-        toml_kind = summary.registrations.get("toml_kind")
-        if summary.path.endswith(".toml"):
-            have_specs = True
-            if isinstance(toml_kind, str):
-                toml_kinds.setdefault(toml_kind, []).append(summary)
         if summary.kind.is_tests:
             have_tests = True
             if summary.registrations.get("dynamic_aggregator_coverage"):
@@ -124,34 +105,5 @@ def run(project: Project) -> list[Finding]:
                 "is not exercised by the property suite; add a property "
                 "test or iterate CONSENSUS_NAMES",
             )
-
-    # -- scenario: runner branch + shipped spec per kind ---------------
-    for summary, kind, line in kinds:
-        if kind not in kind_branches:
-            emit(
-                summary,
-                line,
-                f"ScenarioSpec kind {kind!r} has no runner branch "
-                "(no `spec.kind == ...` comparison in repro.scenario)",
-            )
-        if have_specs and kind not in toml_kinds:
-            emit(
-                summary,
-                line,
-                f"ScenarioSpec kind {kind!r} has no shipped spec "
-                "(no specs/*.toml with kind = \"{0}\")".format(kind),
-            )
-    declared_kinds = {kind for _, kind, _ in kinds}
-    if declared_kinds:
-        for toml_kind, spec_summaries in sorted(toml_kinds.items()):
-            if toml_kind in declared_kinds:
-                continue
-            for summary in spec_summaries:
-                emit(
-                    summary,
-                    1,
-                    f"spec file declares unknown kind {toml_kind!r}; "
-                    f"known kinds: {sorted(declared_kinds)}",
-                )
 
     return findings

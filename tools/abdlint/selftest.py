@@ -75,7 +75,7 @@ def load_carveout_fixtures() -> list[tuple[str, str, str]]:
 def _project_findings(tree: Path, rule: str) -> list:
     summaries = [
         build_summary(p.as_posix(), p.read_text(encoding="utf-8"))
-        for p in sorted(tree.rglob("*.py")) + sorted(tree.rglob("*.toml"))
+        for p in sorted(tree.rglob("*.py"))
     ]
     return _PROJECT_RUNNERS[rule](Project(summaries))
 
