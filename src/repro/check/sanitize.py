@@ -14,9 +14,9 @@ explicit keyword arguments merged with the ambient :func:`provenance`
 context the trainer maintains.
 
 The on/off gate and the :func:`provenance` frames belong to
-:mod:`repro.obs.ambient` (``REPRO_SANITIZE``; ``ABDHFLConfig(sanitize=
-True)`` turns checks on for every round a trainer runs, an autouse
-fixture for the whole test suite).
+:mod:`repro.obs.ambient` (``REPRO_SANITIZE=1`` process-wide, ``with
+sanitize.sanitized():`` for a block — an autouse fixture does that for
+the whole test suite).
 """
 
 from __future__ import annotations

@@ -4,19 +4,16 @@
 paper artefact is a shipped spec (``scenario run table5 | figure3 |
 schemes | backdoor | tolerance | pipeline | defence_matrix ...``) — to
 vary a parameter, copy the shipped TOML and edit it
-``report``    — render a trace file into the Table-V-style breakdown
-``audit``     — forensic detection report / cross-run diff from audit
-records
+``inspect``   — read a run directory back: manifest, stored report, the
+Table-V-style trace breakdown and the forensic detection report, or a
+cross-run diff
 ``lint``      — run the abdlint static-analysis engine over the tree
 
-``--trace PATH`` records a :mod:`repro.obs` trace of the command to
-``PATH`` (equivalent to running under ``REPRO_TRACE=PATH``); the trace
-can then be inspected with ``python -m repro report PATH``.
-``--audit PATH`` records :mod:`repro.obs.audit` defence decision
-records to ``PATH`` (equivalent to ``REPRO_AUDIT=PATH``) and writes the
-run manifest next to them; inspect with ``python -m repro audit PATH``.
-``scenario run --out DIR`` gathers report, cells, manifest and whichever
-of the two streams is on into one run directory.
+``scenario run SPEC --out DIR`` is the only command that persists
+anything: it leaves one run directory (:mod:`repro.scenario.rundir` —
+manifest, report, cells), and with ``--trace`` / ``--audit`` (or under
+``REPRO_TRACE=1`` / ``REPRO_AUDIT=1``) the :mod:`repro.obs` trace and
+defence-forensics streams in it.  ``inspect DIR`` is the only reader.
 """
 
 from __future__ import annotations
@@ -33,30 +30,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro",
         description="ABD-HFL reproduction experiment runner",
     )
-    parser.add_argument("--out", type=Path, default=None, help="results directory")
-    parser.add_argument(
-        "--trace",
-        type=Path,
-        default=None,
-        metavar="PATH",
-        help="record an observability trace (JSONL) of the command to PATH",
-    )
-    parser.add_argument(
-        "--audit",
-        type=Path,
-        default=None,
-        metavar="PATH",
-        help="record defence forensics (audit JSONL + run manifest) of "
-        "the command to PATH",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker processes a scenario run shards its cells across;"
-        " results are bit-identical for every N (default: REPRO_WORKERS or 1)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     sn = sub.add_parser(
@@ -70,25 +43,31 @@ def build_parser() -> argparse.ArgumentParser:
         "spec",
         help="path to a scenario TOML, or a shipped name (see 'scenario list')",
     )
-    # SUPPRESS so this alias never clobbers the root-level --workers value
     sn_run.add_argument(
         "--workers",
         type=int,
-        dest="workers",
-        default=argparse.SUPPRESS,
+        default=None,
         metavar="N",
-        help="worker processes (bit-identical results for every N)",
+        help="worker processes the cells are sharded across; results are "
+        "bit-identical for every N (default: REPRO_WORKERS or 1)",
     )
-    # SUPPRESS mirrors --workers: the subcommand alias must not clobber
-    # a root-level --out when only the latter is given.
     sn_run.add_argument(
         "--out",
         type=Path,
-        dest="out",
-        default=argparse.SUPPRESS,
+        default=None,
         metavar="DIR",
-        help="persist report/cells/manifest (+ the audit / trace streams "
-        "when they are on) under DIR",
+        help="leave the run directory (manifest, report, cells, enabled "
+        "streams) under DIR",
+    )
+    sn_run.add_argument(
+        "--trace",
+        action="store_true",
+        help="with --out: record the observability trace into DIR",
+    )
+    sn_run.add_argument(
+        "--audit",
+        action="store_true",
+        help="with --out: record the defence forensics stream into DIR",
     )
     sn_sub.add_parser("list", help="list the shipped canonical specs")
     sn_validate = sn_sub.add_parser(
@@ -100,6 +79,48 @@ def build_parser() -> argparse.ArgumentParser:
         help="spec paths or shipped names (default: every shipped spec)",
     )
 
+    ins = sub.add_parser(
+        "inspect", help="read a run directory written by 'scenario run --out'"
+    )
+    ins.add_argument("run", type=Path, help="run directory")
+    ins.add_argument(
+        "--diff",
+        type=Path,
+        metavar="OTHER",
+        default=None,
+        help="compare with run directory OTHER instead: per-cell "
+        "detection/metric deltas",
+    )
+    ins.add_argument(
+        "--check",
+        action="store_true",
+        help="with --diff: exit 1 when any delta exceeds --tol or the "
+        "cell sets differ",
+    )
+    ins.add_argument(
+        "--tol",
+        type=float,
+        default=None,
+        help="with --diff: absolute delta tolerance (default: 1e-9)",
+    )
+    ins.add_argument(
+        "--strict",
+        action="store_true",
+        help="fail on the first invalid stream line instead of skipping "
+        "(and counting) it",
+    )
+    ins.add_argument(
+        "--chrome",
+        type=Path,
+        default=None,
+        metavar="PATH",
+        help="additionally export the trace in Chrome trace_event format",
+    )
+    ins.add_argument(
+        "--no-timelines",
+        action="store_true",
+        help="omit the per-device suspicion timelines",
+    )
     ln = sub.add_parser(
         "lint",
         help="run the abdlint static-analysis engine (tools/abdlint)",
@@ -129,62 +150,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the engine's fixture self-test instead of linting",
     )
 
-    rp = sub.add_parser("report", help="render a run report from a trace file")
-    rp.add_argument("trace_file", type=Path, help="JSONL trace to render")
-    rp.add_argument(
-        "--chrome",
-        type=Path,
-        default=None,
-        metavar="PATH",
-        help="additionally export the trace in Chrome trace_event format",
-    )
-    rp.add_argument(
-        "--strict",
-        action="store_true",
-        help="fail on the first unrecognised trace line instead of "
-        "skipping (and counting) it",
-    )
-
-    au = sub.add_parser(
-        "audit", help="forensic detection report from audit records"
-    )
-    au.add_argument(
-        "run",
-        type=Path,
-        nargs="?",
-        default=None,
-        help="audit JSONL file, or a run directory containing audit.jsonl",
-    )
-    au.add_argument(
-        "--diff",
-        type=Path,
-        nargs=2,
-        metavar=("A", "B"),
-        default=None,
-        help="compare two runs instead: per-cell detection/metric deltas",
-    )
-    au.add_argument(
-        "--check",
-        action="store_true",
-        help="with --diff: exit 1 when any delta exceeds --tol or the "
-        "cell sets differ",
-    )
-    au.add_argument(
-        "--tol",
-        type=float,
-        default=1e-9,
-        help="absolute delta tolerance for --check (default: 1e-9)",
-    )
-    au.add_argument(
-        "--strict",
-        action="store_true",
-        help="fail on the first invalid record line instead of skipping it",
-    )
-    au.add_argument(
-        "--no-timelines",
-        action="store_true",
-        help="omit the per-device suspicion timelines",
-    )
     return parser
 
 
@@ -193,9 +158,8 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
         ScenarioRunner,
         expand_cells,
         load_shipped_spec,
-        persist_result,
         resolve_spec,
-        run_manifest,
+        rundir,
         shipped_spec_names,
     )
 
@@ -222,16 +186,20 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"repro scenario: {exc}", file=sys.stderr)
         return 2
-    result = ScenarioRunner(workers=args.workers).run(spec)
+    if args.out is None:
+        print(ScenarioRunner(workers=args.workers).run(spec).table)
+        return 0
+    result, paths = rundir.record(
+        spec,
+        args.out,
+        workers=args.workers,
+        command=f"scenario run {args.spec}",
+        traced=args.trace,
+        audited=args.audit,
+    )
     print(result.table)
-    if args.out:
-        paths = persist_result(
-            result,
-            args.out,
-            manifest=run_manifest(spec, command=f"scenario run {args.spec}"),
-        )
-        for path in paths.values():
-            print(f"saved {path}")
+    for path in paths.values():
+        print(f"saved {path}")
     return 0
 
 
@@ -268,184 +236,88 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     return abdlint_main(argv)
 
 
-def _cmd_report(args: argparse.Namespace) -> int:
-    from repro.obs import (
-        TraceSchemaError,
-        load_trace,
-        load_trace_lenient,
-        render_report,
-        write_chrome_trace,
-    )
-
-    if args.strict:
-        try:
-            events = load_trace(args.trace_file)
-        except TraceSchemaError as exc:
-            print(f"repro report: {exc}", file=sys.stderr)
-            return 2
-    else:
-        events, skipped = load_trace_lenient(args.trace_file)
-        if skipped:
-            lineno, reason = skipped[0]
-            print(
-                f"warning: {args.trace_file}: skipped "
-                f"{len(skipped)} unrecognised line(s), first at line "
-                f"{lineno}: {reason} (use --strict to fail instead)",
-                file=sys.stderr,
-            )
-    print(render_report(events))
-    if args.chrome is not None:
-        path = write_chrome_trace(args.chrome, events)
-        print(f"saved Chrome trace {path}")
-    return 0
-
-
-def _resolve_audit_run(ref: Path) -> tuple[Path, Path | None]:
-    """Resolve a run reference to ``(audit JSONL, manifest or None)``.
-
-    A directory means a scenario/CLI artifact directory (``audit.jsonl``
-    next to ``manifest.json``); a file means the JSONL itself, with the
-    manifest looked up at its conventional sibling path.
-    """
-    from repro.obs import audit as _audit
-
-    if ref.is_dir():
-        jsonl = ref / "audit.jsonl"
-        if not jsonl.is_file():
-            raise FileNotFoundError(f"{ref} contains no audit.jsonl")
-    else:
-        jsonl = ref
-    if not jsonl.is_file():
-        raise FileNotFoundError(f"no such audit file: {jsonl}")
-    for candidate in (
-        _audit.manifest_path_for(jsonl),
-        jsonl.parent / "manifest.json",
-    ):
-        if candidate.is_file():
-            return jsonl, candidate
-    return jsonl, None
-
-
-def _cmd_audit(args: argparse.Namespace) -> int:
-    from repro.obs import audit as _audit
+def _cmd_inspect(args: argparse.Namespace) -> int:
+    from repro.obs import render_report, write_chrome_trace
     from repro.obs.audit_report import (
         build_audit_report,
         diff_audit,
         render_audit_report,
         render_diff,
     )
+    from repro.scenario import rundir
 
-    def load(
-        ref: Path,
-    ) -> tuple[list[dict[str, object]], "dict[str, object] | None"]:
-        jsonl, manifest_path = _resolve_audit_run(ref)
-        records, skipped = _audit.load_audit(jsonl, strict=args.strict)
-        if skipped:
-            lineno, reason = skipped[0]
+    def load(ref: Path, need: str | None = None) -> rundir.RunDir:
+        streams = ("trace", "audit") if args.diff is None else ("audit",)
+        run = rundir.read(ref, strict=args.strict, streams=streams)
+        for path, bad in run.skipped.items():
+            lineno, reason = bad[0]
             print(
-                f"warning: {jsonl}: skipped {len(skipped)} invalid "
-                f"line(s), first at line {lineno}: {reason} "
-                "(use --strict to fail instead)",
+                f"warning: {path}: skipped {len(bad)} invalid line(s), "
+                f"first at line {lineno}: {reason} (use --strict to fail "
+                "instead)",
                 file=sys.stderr,
             )
-        manifest = (
-            _audit.load_manifest(manifest_path)
-            if manifest_path is not None
-            else None
-        )
-        return records, manifest
+        if need is not None and getattr(run, need) is None:
+            raise FileNotFoundError(f"{ref} holds no {need} stream")
+        return run
 
     try:
         if args.diff is not None:
-            records_a, _ = load(args.diff[0])
-            records_b, _ = load(args.diff[1])
-            diff = diff_audit(records_a, records_b)
-            print(render_diff(diff, tol=args.tol))
-            return 1 if args.check and diff.exceeds(args.tol) else 0
-        if args.run is None:
-            print(
-                "repro audit: a run path (or --diff A B) is required",
-                file=sys.stderr,
+            tol = 1e-9 if args.tol is None else args.tol
+            diff = diff_audit(
+                load(args.run, "audit").audit, load(args.diff, "audit").audit
             )
-            return 2
-        records, manifest = load(args.run)
-    except (FileNotFoundError, _audit.AuditSchemaError) as exc:
-        print(f"repro audit: {exc}", file=sys.stderr)
+            print(render_diff(diff, tol=tol))
+            return 1 if args.check and diff.exceeds(tol) else 0
+        run = load(args.run, "trace" if args.chrome is not None else None)
+    except (FileNotFoundError, ValueError) as exc:
+        print(f"repro inspect: {exc}", file=sys.stderr)
         return 2
-    if manifest is not None:
-        package = manifest.get("package")
-        parts = [f"schema {manifest.get('schema')}"]
-        if isinstance(package, dict):
-            parts.append(f"{package.get('name')} {package.get('version')}")
-        for key in ("command", "seed"):
-            if key in manifest:
-                parts.append(f"{key} {manifest[key]}")
-        print("manifest: " + ", ".join(parts) + "\n")
-    report = build_audit_report(records)
-    print(render_audit_report(report, timelines=not args.no_timelines))
+    manifest = run.manifest
+    package = manifest.get("package")
+    parts = [f"schema {manifest.get('schema')}"]
+    if isinstance(package, dict):
+        parts.append(f"{package.get('name')} {package.get('version')}")
+    for key in ("command", "seed"):
+        if key in manifest:
+            parts.append(f"{key} {manifest[key]}")
+    print("manifest: " + ", ".join(parts))
+    if "status" in manifest:
+        error = f" - {manifest['error']}" if "error" in manifest else ""
+        print(f"status: {manifest['status']}{error}")
+    if run.report is not None:
+        print("\n" + run.report, end="")
+    if run.trace is None:
+        print("\ntrace: off")
+    else:
+        print("\n" + render_report(run.trace))
+        if args.chrome is not None:
+            print(f"saved Chrome trace {write_chrome_trace(args.chrome, run.trace)}")
+    if run.audit is None:
+        print("\naudit: off")
+    else:
+        report = build_audit_report(run.audit)
+        print("\n" + render_audit_report(report, timelines=not args.no_timelines))
     return 0
 
 
 _COMMANDS = {
     "scenario": _cmd_scenario,
+    "inspect": _cmd_inspect,
     "lint": _cmd_lint,
-    "report": _cmd_report,
-    "audit": _cmd_audit,
 }
-
-#: Pure consumers: recording their own activity would be noise.
-_ANALYSIS_COMMANDS = ("report", "audit", "lint")
-
-
-def _command_manifest(args: argparse.Namespace) -> "dict[str, object]":
-    """A provenance manifest for one CLI invocation (``--audit`` mode)."""
-    from repro.experiments.io import collect_registries
-    from repro.obs import audit as _audit
-
-    return _audit.build_manifest(
-        command=args.command,
-        spec=dict(sorted(vars(args).items())),
-        registries=collect_registries(),
-    )
-
-
-def _save_audit(
-    args: argparse.Namespace, auditor: object, path: Path
-) -> None:
-    from repro.obs import audit as _audit
-
-    assert isinstance(auditor, _audit.Auditor)
-    auditor.save(path)
-    _audit.write_manifest(_audit.manifest_path_for(path), _command_manifest(args))
-    print(f"saved audit {path}")
 
 
 def main(argv: list[str] | None = None) -> int:
-    from contextlib import ExitStack
-
-    from repro.obs import audit as _audit
-    from repro.obs import trace as _trace
-
-    args = build_parser().parse_args(argv)
-    analysis = args.command in _ANALYSIS_COMMANDS
-    # --trace/--audit PATH record the command in a fresh scoped instance;
-    # REPRO_TRACE/REPRO_AUDIT=<path> installed a process-wide one at
-    # import.  Either way the stream is persisted once the command is done.
-    trace_flag = None if analysis else getattr(args, "trace", None)
-    audit_flag = None if analysis else getattr(args, "audit", None)
-    with ExitStack() as stack:
-        tr = stack.enter_context(_trace.traced()) if trace_flag else _trace.tracer()
-        au = stack.enter_context(_audit.audited()) if audit_flag else _audit.auditor()
-        status = _COMMANDS[args.command](args)
-    if not analysis:
-        trace_path = trace_flag or _trace.env_trace_path()
-        if tr is not None and trace_path is not None:
-            tr.save(trace_path)
-            print(f"saved trace {trace_path}")
-        audit_path = audit_flag or _audit.env_audit_path()
-        if au is not None and audit_path is not None:
-            _save_audit(args, au, audit_path)
-    return status
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "inspect" and args.diff is None:
+        if args.check or args.tol is not None:
+            parser.error("--check / --tol require --diff OTHER")
+    if getattr(args, "scenario_command", None) == "run" and args.out is None:
+        if args.trace or args.audit:
+            parser.error("--trace / --audit require --out DIR")
+    return _COMMANDS[args.command](args)
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

@@ -79,10 +79,6 @@ class ConsensusProtocol(ABC):
     #: wasted transmissions) receive the mask in ``_agree``; for the rest
     #: the base class reduces the problem to the live members.
     handles_silent: bool = False
-    #: Legacy attribute channel: setting this before ``agree()`` is
-    #: equivalent to passing ``silent_mask=``.  One-shot — cleared at the
-    #: start of every execution.
-    silent_mask: np.ndarray | None = None
 
     def agree(
         self,
@@ -121,9 +117,6 @@ class ConsensusProtocol(ABC):
                 raise ValueError(
                     f"byzantine_mask shape {byzantine_mask.shape} != ({n},)"
                 )
-        if silent_mask is None:
-            silent_mask = self.silent_mask
-        self.silent_mask = None
         if silent_mask is None:
             silent = np.zeros(n, dtype=bool)
         else:

@@ -96,22 +96,6 @@ class ABDHFLConfig:
     global_arrival_iteration:
         In pipeline mode, the local iteration index at which the global
         model arrives and Eq. 1 is applied.
-    sanitize:
-        Run the :mod:`repro.check` numeric sanitizers and consensus
-        invariant checks for every round of this trainer (they are off
-        process-wide unless ``REPRO_SANITIZE`` is set).  Checks are
-        read-only: enabling them never changes a drawn bit.
-    trace:
-        Record :mod:`repro.obs` trace events and per-round metric
-        snapshots for this trainer (off process-wide unless
-        ``REPRO_TRACE`` is set).  Tracing is read-only like the
-        sanitizers: a traced run is bit-identical to an untraced one.
-    audit:
-        Record :mod:`repro.obs.audit` defence decision records — per
-        round, per device: aggregation evidence, consensus masks and
-        injected-fault ground truth (off process-wide unless
-        ``REPRO_AUDIT`` is set).  Auditing is read-only like tracing:
-        an audited run is bit-identical to an unaudited one.
     workers:
         Process count for per-device local training
         (:mod:`repro.parallel`).  ``None`` defers to ``REPRO_WORKERS``
@@ -132,9 +116,6 @@ class ABDHFLConfig:
     flag_level: int = 1
     pipeline_mode: bool = False
     global_arrival_iteration: int = 2
-    sanitize: bool = False
-    trace: bool = False
-    audit: bool = False
     workers: int | None = None
 
     def __post_init__(self) -> None:

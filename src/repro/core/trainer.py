@@ -32,7 +32,7 @@ from repro.data.dataset import Dataset
 from repro.faults.plan import FaultPlan, FaultStats
 from repro.faults.rounds import RoundFaultInjector
 from repro.nn.losses import SoftmaxCrossEntropy
-from repro.obs import ambient, audit, trace
+from repro.obs import audit, trace
 from repro.nn.metrics import accuracy
 from repro.nn.model import Sequential
 from repro.core.pool import LocalFleet
@@ -41,19 +41,7 @@ from repro.topology.cluster import Cluster
 from repro.topology.tree import Hierarchy
 from repro.utils.seeding import SeedSequenceFactory
 
-__all__ = ["RoundRecord", "ABDHFLTrainer", "make_consensus"]
-
-def make_consensus(
-    name: str,
-    options: dict | None = None,
-    validator: ModelValidator | None = None,
-) -> ConsensusProtocol:
-    """Instantiate a consensus protocol by registry name.
-
-    Back-compat alias for :func:`repro.consensus.get_consensus`, which is
-    the canonical registry.
-    """
-    return get_consensus(name, options, validator)
+__all__ = ["RoundRecord", "ABDHFLTrainer"]
 
 
 @dataclass
@@ -151,14 +139,6 @@ class ABDHFLTrainer:
         self.top_byzantine_votes = top_byzantine_votes
         self.correction = correction or AdaptiveCorrection()
         self._seeds = SeedSequenceFactory(seed)
-        # config.trace gives this trainer its own tracer, installed only
-        # for the duration of each round (mirroring the per-round
-        # sanitized() scope) so process-wide state is never left mutated.
-        self.tracer: trace.Tracer | None = trace.Tracer() if config.trace else None
-        # config.audit likewise scopes a private auditor per round.
-        self.auditor: audit.Auditor | None = (
-            audit.Auditor() if config.audit else None
-        )
         self._fault = (
             RoundFaultInjector(fault_plan, hierarchy)
             if fault_plan is not None
@@ -213,7 +193,7 @@ class ABDHFLTrainer:
             if spec.kind == "bra":
                 self._level_bra[level] = get_aggregator(spec.name, **dict(spec.options))
             else:
-                self._level_cba[level] = make_consensus(
+                self._level_cba[level] = get_consensus(
                     spec.name, dict(spec.options), validator=self.validator
                 )
 
@@ -251,12 +231,7 @@ class ABDHFLTrainer:
 
     def run_round(self, evaluate: bool = True) -> RoundRecord:
         """Execute one global round (Algorithm 1)."""
-        private = ambient.installed(
-            sanitize=self.config.sanitize or None,
-            trace=self.tracer,
-            audit=self.auditor,
-        )
-        with private, sanitize.provenance(round_index=self.round_index):
+        with sanitize.provenance(round_index=self.round_index):
             return self._run_round(evaluate)
 
     def _run_round(self, evaluate: bool) -> RoundRecord:

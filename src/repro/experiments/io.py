@@ -1,9 +1,8 @@
 """Persistence for experiment results (CSV + JSON).
 
-Runs are expensive at paper scale; these helpers store round histories
-and grid cells so figures/tables can be re-rendered without re-training.
-Formats are plain text (no pickle) so results are portable and
-human-inspectable.
+Runs are expensive at paper scale; these helpers store grid cells so
+tables can be re-rendered without re-training.  Formats are plain text
+(no pickle) so results are portable and human-inspectable.
 """
 
 from __future__ import annotations
@@ -14,84 +13,14 @@ from dataclasses import asdict, is_dataclass
 from pathlib import Path
 from typing import Any, Sequence
 
-import numpy as np
-
-from repro.core.trainer import RoundRecord
-from repro.core.vanilla import VanillaRoundRecord
-
 __all__ = [
-    "save_history_csv",
-    "load_history_csv",
-    "save_curves_npz",
-    "load_curves_npz",
     "save_records_csv",
     "save_records_json",
     "load_records_json",
     "collect_registries",
 ]
 
-_HISTORY_FIELDS = ("round_index", "test_accuracy", "test_loss", "mean_local_loss")
 
-
-def save_history_csv(
-    path: str | Path,
-    history: Sequence[RoundRecord | VanillaRoundRecord],
-) -> Path:
-    """Write a round history to CSV (shared schema for both trainers)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_HISTORY_FIELDS)
-        for record in history:
-            writer.writerow([getattr(record, f) for f in _HISTORY_FIELDS])
-    return path
-
-
-def load_history_csv(path: str | Path) -> list[dict[str, float]]:
-    """Read a history CSV back as dict rows (floats, round_index int)."""
-    path = Path(path)
-    out: list[dict[str, float]] = []
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != list(_HISTORY_FIELDS):
-            raise ValueError(
-                f"{path} has columns {reader.fieldnames}, expected "
-                f"{list(_HISTORY_FIELDS)}"
-            )
-        for row in reader:
-            parsed: dict[str, float] = {
-                "round_index": int(row["round_index"]),
-            }
-            for key in _HISTORY_FIELDS[1:]:
-                parsed[key] = float(row[key])
-            out.append(parsed)
-    return out
-
-
-def save_curves_npz(path: str | Path, **curves: Any) -> Path:
-    """Persist named accuracy trajectories (arrays) as a compressed NPZ."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    arrays = {}
-    for name, value in curves.items():
-        if is_dataclass(value):
-            raise TypeError(
-                f"curve {name!r} is a dataclass; pass its arrays explicitly"
-            )
-        arrays[name] = np.asarray(value)
-    np.savez_compressed(path, **arrays)
-    return path
-
-
-def load_curves_npz(path: str | Path) -> dict[str, np.ndarray]:
-    with np.load(Path(path)) as data:
-        return {name: data[name].copy() for name in data.files}
-
-
-# ----------------------------------------------------------------------
-# generic record persistence (scenario artifacts, audit side tables)
-# ----------------------------------------------------------------------
 def _record_dict(record: object) -> dict[str, Any]:
     if is_dataclass(record) and not isinstance(record, type):
         return asdict(record)

@@ -19,9 +19,14 @@ checks live in ``tools/abdlint.py``, runtime correctness in
   records (aggregation evidence, consensus masks, injected-fault ground
   truth) and run manifests;
 * :mod:`repro.obs.audit_report` — detection precision/recall tables and
-  cross-run regression diffs behind ``python -m repro audit``;
+  cross-run regression diffs;
 * :mod:`repro.obs.report` — the Table-V-style wait/compute/comm
-  breakdown behind ``python -m repro report``.
+  breakdown.
+
+A run's streams are persisted only as a run directory
+(``scenario run --out DIR --trace --audit``,
+:mod:`repro.scenario.rundir`); ``python -m repro inspect DIR`` composes
+the two renderers over it.
 
 Nothing under ``src/`` reads the wall clock: wall-clock attribution is
 the perf ledger's job (``python benchmarks/ledger/run.py``), which
@@ -37,7 +42,6 @@ from repro.obs.audit import (
     build_manifest,
     load_audit,
     load_manifest,
-    manifest_path_for,
     validate_record,
     write_manifest,
 )
@@ -53,7 +57,6 @@ from repro.obs.audit_report import (
 from repro.obs.export import (
     TraceSchemaError,
     load_trace,
-    load_trace_lenient,
     to_chrome_trace,
     validate_event,
     write_chrome_trace,
@@ -66,7 +69,6 @@ from repro.obs.trace import (
     disable,
     enable,
     enabled,
-    env_trace_path,
     scoped,
     traced,
     tracer,
@@ -81,7 +83,6 @@ __all__ = [
     "build_manifest",
     "load_audit",
     "load_manifest",
-    "manifest_path_for",
     "validate_record",
     "write_manifest",
     "AuditDiff",
@@ -93,7 +94,6 @@ __all__ = [
     "render_diff",
     "TraceSchemaError",
     "load_trace",
-    "load_trace_lenient",
     "to_chrome_trace",
     "validate_event",
     "write_chrome_trace",
@@ -110,7 +110,6 @@ __all__ = [
     "disable",
     "enable",
     "enabled",
-    "env_trace_path",
     "scoped",
     "traced",
     "tracer",

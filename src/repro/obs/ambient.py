@@ -10,16 +10,15 @@ verbs (``trace.tracer()``, ``audit.audited()``, ``sanitize.sanitized()``).
 **Gating.**  A slot holds one process-wide instance, ``None`` meaning
 *off*.  Its default is read once, at import, from its environment
 variable (``REPRO_SANITIZE`` / ``REPRO_TRACE`` / ``REPRO_AUDIT``): a
-truthy word turns it on; for the two record sinks any other value is a
-file path that turns it on *and* is the default save target the CLI
-uses.  An instrumentation site calls :meth:`Slot.get` and tests for
-``None`` — the whole cost of a disabled observer, asserted by
+truthy word (``1`` / ``true`` / ``on`` / ``yes``) turns it on, anything
+else leaves it off.  An instrumentation site calls :meth:`Slot.get` and
+tests for ``None`` — the whole cost of a disabled observer, asserted by
 ``benchmarks/bench_aggregation_kernels.py --overhead``.
 
 **Scoping.**  :meth:`Slot.enable` / :meth:`Slot.disable` flip a slot
-process-wide; :meth:`Slot.scoped`, :meth:`Slot.fresh` and
-:func:`installed` install an instance for a ``with`` block and restore
-the previous one on exit, exception or not.  :func:`provenance` frames
+process-wide; :meth:`Slot.scoped` and :meth:`Slot.fresh` install an
+instance for a ``with`` block and restore the previous one on exit,
+exception or not.  :func:`provenance` frames
 (node / round / rule) are what every observer stamps its output with.
 
 **Shipping.**  A spawn worker re-imports everything, so it starts from
@@ -47,7 +46,6 @@ __all__ = [
     "SANITIZE",
     "provenance",
     "current_provenance",
-    "installed",
     "recording",
     "snapshot",
     "applied",
@@ -63,36 +61,20 @@ _SLOTS: dict[str, "Slot[Any]"] = {}
 
 
 class Slot(Generic[_T]):
-    """One process-wide observer instance (``None`` while off).
-
-    ``factory`` builds a fresh instance; ``takes_path`` marks the record
-    sinks, whose environment variable may name a save path.
-    """
+    """One process-wide observer instance (``None`` while off);
+    ``factory`` builds a fresh one."""
 
     def __init__(
-        self,
-        name: str,
-        env_var: str,
-        factory: Callable[[], _T],
-        takes_path: bool = False,
+        self, name: str, env_var: str, factory: Callable[[], _T]
     ) -> None:
         self.env_var = env_var
         self.factory = factory
-        self.takes_path = takes_path
         self.value: _T | None = factory() if self.env_on() else None
         _SLOTS[name] = self
 
-    def env_path(self) -> Path | None:
-        """The save path carried by the variable (``None`` for bare ``1``)."""
-        value = os.environ.get(self.env_var, "").strip()
-        if not self.takes_path or not value or value.lower() in _TRUTHY:
-            return None
-        return Path(value)
-
     def env_on(self) -> bool:
         """Whether the variable asks for this observer."""
-        value = os.environ.get(self.env_var, "").strip()
-        return value.lower() in _TRUTHY or (self.takes_path and value != "")
+        return os.environ.get(self.env_var, "").strip().lower() in _TRUTHY
 
     def get(self) -> _T | None:
         """The installed instance, or ``None`` when off: THE gate every
@@ -174,18 +156,6 @@ def current_provenance() -> dict[str, object]:
     for frame in _provenance:
         merged.update(frame)
     return merged
-
-
-@contextmanager
-def installed(**instances: object) -> Iterator[None]:
-    """Scope with ``instances`` (slot name -> instance) installed; a
-    ``None`` leaves that slot as it is, so a caller with optional private
-    observers passes them all unconditionally."""
-    with ExitStack() as stack:
-        for name, instance in instances.items():
-            if instance is not None:
-                stack.enter_context(_SLOTS[name].scoped(instance))
-        yield
 
 
 def recording() -> bool:

@@ -1,9 +1,9 @@
 """Defence forensics: per-device audit records and run manifests.
 
 The auditor is gated, scoped and shipped to workers by
-:mod:`repro.obs.ambient` (``REPRO_AUDIT``; ``ABDHFLConfig(audit=True)``
-gives a trainer a private auditor active for every round it runs).  When
-on, records are appended to an in-memory list and serialised on demand.
+:mod:`repro.obs.ambient` (``REPRO_AUDIT=1`` process-wide, ``with
+audit.audited() as au:`` for a block).  When on, records are appended
+to an in-memory list and serialised on demand.
 Auditing is *read-only*: it never draws randomness and never changes
 control flow, so an audited run is bit-identical to an unaudited run and
 the record stream itself is byte-identical for every worker count.
@@ -33,8 +33,9 @@ grid ``cell``, the contributing device ``members``, the aggregating
     A named scalar outcome (``gradient_gap``, accuracy, …).
 
 The **run manifest** is a separate JSON document written next to the
-record stream: spec/config dict, root seed, registry contents and the
-package version — enough to attribute any archived run.
+record stream (the run directory, :mod:`repro.scenario.rundir`):
+spec/config dict, root seed, registry contents and the package version
+— enough to attribute any archived run.
 """
 
 from __future__ import annotations
@@ -57,13 +58,11 @@ __all__ = [
     "scoped",
     "audited",
     "context",
-    "env_audit_path",
     "validate_record",
     "load_audit",
     "build_manifest",
     "write_manifest",
     "load_manifest",
-    "manifest_path_for",
     "RECORD_KINDS",
     "AUDIT_SCHEMA_VERSION",
 ]
@@ -213,7 +212,7 @@ class Auditor(RecordSink):
 
 
 # The process-wide gate: one ambient slot, re-exported under audit verbs.
-_SLOT: Slot[Auditor] = Slot("audit", "REPRO_AUDIT", Auditor, takes_path=True)
+_SLOT: Slot[Auditor] = Slot("audit", "REPRO_AUDIT", Auditor)
 
 auditor = _SLOT.get
 enabled = _SLOT.enabled
@@ -221,7 +220,6 @@ enable = _SLOT.enable
 disable = _SLOT.disable
 scoped = _SLOT.scoped
 audited = _SLOT.fresh
-env_audit_path = _SLOT.env_path
 
 _NO_CONTEXT: ContextManager[None] = nullcontext()
 
@@ -312,9 +310,3 @@ def load_manifest(path: "str | Path") -> dict[str, object]:
             f"{AUDIT_SCHEMA_VERSION}"
         )
     return data
-
-
-def manifest_path_for(audit_path: "str | Path") -> Path:
-    """The conventional manifest location next to an audit file."""
-    p = Path(audit_path)
-    return p.with_name(p.stem + ".manifest.json")

@@ -1,4 +1,4 @@
-"""Forensic analysis of audit record streams (``python -m repro audit``).
+"""Forensic analysis of audit record streams (``python -m repro inspect``).
 
 Consumes the JSONL streams :mod:`repro.obs.audit` emits and answers the
 two questions a defence post-mortem asks:
@@ -12,7 +12,7 @@ two questions a defence post-mortem asks:
 * **Did anything change between two runs?**  :func:`diff_audit` compares
   two record streams cell by cell — detection-quality deltas and metric
   deltas — and reports the maximum absolute delta so CI can gate on it
-  (``repro audit --diff A B --check``).
+  (``repro inspect A --diff B --check``).
 
 Scoring convention: devices the ground truth marks *crash-silent* are
 excluded from the confusion counts — a silent device contributes nothing

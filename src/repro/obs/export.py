@@ -22,7 +22,6 @@ __all__ = [
     "TraceSchemaError",
     "validate_event",
     "load_trace",
-    "load_trace_lenient",
     "to_chrome_trace",
     "write_chrome_trace",
 ]
@@ -74,18 +73,9 @@ def validate_event(obj: object, context: str = "") -> dict[str, object]:
     return obj
 
 
-def load_trace_lenient(
-    path: "str | Path",
-) -> tuple[list[dict[str, object]], list[tuple[int, str]]]:
-    """Load a JSONL trace into ``(events, skipped)``, collecting invalid
-    lines as ``(line_number, reason)`` instead of raising (what
-    ``python -m repro report`` does unless ``--strict``)."""
-    return load_jsonl(path, validate_event)
-
-
 def load_trace(path: "str | Path") -> list[dict[str, object]]:
     """Load and validate a JSONL trace file (the first bad line raises)."""
-    events, skipped = load_trace_lenient(path)
+    events, skipped = load_jsonl(path, validate_event)
     if skipped:
         lineno, reason = skipped[0]
         raise TraceSchemaError(f"{path}:{lineno}: {reason}")

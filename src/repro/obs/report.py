@@ -3,7 +3,7 @@
 The paper's Table V decomposes each configuration's round time into
 waiting, computation and communication; the event-driven runner emits
 exactly those span categories, so any trace can be folded back into the
-same decomposition with ``python -m repro report <trace.jsonl>``.
+same decomposition (``python -m repro inspect <run-dir>``).
 """
 
 from __future__ import annotations

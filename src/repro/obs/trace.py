@@ -1,9 +1,9 @@
 """Span tracing keyed to simulator time, with deterministic JSONL output.
 
 The tracer is gated, scoped and shipped to workers by
-:mod:`repro.obs.ambient` (``REPRO_TRACE``; ``ABDHFLConfig(trace=True)``
-gives a trainer a private tracer active for every round it runs).  When
-on, events are appended to an in-memory list and serialised on demand.
+:mod:`repro.obs.ambient` (``REPRO_TRACE=1`` process-wide, ``with
+trace.traced() as tr:`` for a block).  When on, events are appended to
+an in-memory list and serialised on demand.
 
 Determinism contract
 --------------------
@@ -53,7 +53,6 @@ __all__ = [
     "disable",
     "scoped",
     "traced",
-    "env_trace_path",
 ]
 
 #: Valid ``ph`` phase codes: span, instant, metrics sample.
@@ -149,7 +148,7 @@ class Tracer(RecordSink):
 
 
 # The process-wide gate: one ambient slot, re-exported under trace verbs.
-_SLOT: Slot[Tracer] = Slot("trace", "REPRO_TRACE", Tracer, takes_path=True)
+_SLOT: Slot[Tracer] = Slot("trace", "REPRO_TRACE", Tracer)
 
 tracer = _SLOT.get
 enabled = _SLOT.enabled
@@ -157,4 +156,3 @@ enable = _SLOT.enable
 disable = _SLOT.disable
 scoped = _SLOT.scoped
 traced = _SLOT.fresh
-env_trace_path = _SLOT.env_path

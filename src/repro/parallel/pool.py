@@ -7,8 +7,8 @@ a module-level task function; it returns exactly what the serial loop
 
 Determinism comes from two rules:
 
-* **ordered reduction** — results are collected with ``Pool.map``, which
-  returns them in *input* order no matter which worker finished first;
+* **ordered reduction** — results are collected with ``Pool.imap``, which
+  yields them in *input* order no matter which worker finished first;
 * **per-task observer scoping** — every task, serial or remote, runs
   under :func:`repro.obs.ambient.applied`: the parent's sanitize flag and
   provenance re-created around it, each enabled record sink replaced by
@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+from contextlib import ExitStack
 from multiprocessing.context import BaseContext
 from typing import Any, Callable, Iterable, TypeVar
 
@@ -100,18 +101,22 @@ def parallel_map(
 
     # One loop, two executors: in-process when serial (scoped exactly
     # like a worker would, so the merged streams are invariant to the
-    # worker count), a spawn pool otherwise.
+    # worker count), a spawn pool otherwise.  Both yield lazily in input
+    # order, so when a task raises the sinks already hold the rows of
+    # every task before it — the evidence a failed run leaves behind.
     snap = ambient.snapshot()
     payloads = [(fn, item, snap) for item in work]
-    if n_workers <= 1:
-        outcomes = [_run_task(payload) for payload in payloads]
-    else:
-        with spawn_context().Pool(
-            processes=n_workers, initializer=_init_worker
-        ) as pool:
-            outcomes = pool.map(_run_task, payloads, chunksize=1)
     results: list[_R] = []
-    for result, captured in outcomes:  # input order == reduction order
-        results.append(result)
-        ambient.merge(captured)
+    with ExitStack() as stack:
+        outcomes: Iterable[tuple[_R, dict[str, list[Any]]]]
+        if n_workers <= 1:
+            outcomes = map(_run_task, payloads)
+        else:
+            pool = stack.enter_context(
+                spawn_context().Pool(processes=n_workers, initializer=_init_worker)
+            )
+            outcomes = pool.imap(_run_task, payloads, chunksize=1)
+        for result, captured in outcomes:  # input order == reduction order
+            results.append(result)
+            ambient.merge(captured)
     return results

@@ -9,7 +9,8 @@ tracing.  Every paper artefact is a canonical spec shipped in
 ``repro/scenario/specs/*.toml``; what a spec's ``kind`` means lives in
 one table (:data:`repro.scenario.kinds.KINDS`), and
 ``tests/test_scenario_equivalence.py`` pins each kind bit-identical to a
-plain loop over its primitive.
+plain loop over its primitive.  A run is persisted only as a run
+directory (:mod:`repro.scenario.rundir`).
 """
 
 from repro.scenario.grid import ScenarioCell
@@ -30,9 +31,7 @@ from repro.scenario.runner import (
     ScenarioResult,
     ScenarioRunner,
     load_shipped_spec,
-    persist_result,
     resolve_spec,
-    run_manifest,
     run_scenario,
     shipped_spec_names,
 )
@@ -77,8 +76,6 @@ __all__ = [
     "dumps_toml",
     "render_result",
     "run_scenario",
-    "run_manifest",
-    "persist_result",
     "shipped_spec_names",
     "load_shipped_spec",
     "resolve_spec",

@@ -20,12 +20,6 @@ from importlib import resources
 from pathlib import Path
 from typing import Any
 
-from repro.experiments.io import (
-    collect_registries,
-    save_records_csv,
-    save_records_json,
-)
-from repro.obs import audit, trace
 from repro.parallel import parallel_map
 from repro.scenario.grid import ScenarioCell
 from repro.scenario.io import load_scenario, loads_scenario
@@ -36,8 +30,6 @@ __all__ = [
     "ScenarioResult",
     "ScenarioRunner",
     "run_scenario",
-    "run_manifest",
-    "persist_result",
     "shipped_spec_names",
     "load_shipped_spec",
     "resolve_spec",
@@ -81,58 +73,6 @@ def run_scenario(
 ) -> ScenarioResult:
     """Convenience wrapper: ``ScenarioRunner(workers).run(spec)``."""
     return ScenarioRunner(workers=workers).run(spec)
-
-
-# ----------------------------------------------------------------------
-# run artifacts
-# ----------------------------------------------------------------------
-def run_manifest(
-    spec: ScenarioSpec, command: str | None = None
-) -> dict[str, Any]:
-    """The provenance manifest for one spec run (see
-    :mod:`repro.obs.audit`): full spec dict, seed-tree root, registered
-    rule/protocol/attack names, package version."""
-    return audit.build_manifest(
-        command=command,
-        spec=spec.to_dict(),
-        seed=spec.seed,
-        registries=collect_registries(),
-    )
-
-
-def persist_result(
-    result: ScenarioResult,
-    out_dir: "str | Path",
-    manifest: "dict[str, Any] | None" = None,
-) -> dict[str, Path]:
-    """Write a run's artifacts under ``out_dir`` and return their paths.
-
-    Always: the rendered report (``report.txt``) and the result cells as
-    both JSON and CSV (``cells.json`` / ``cells.csv``, via
-    :mod:`repro.experiments.io`).  When ``manifest`` is given it lands in
-    ``manifest.json``; when an ambient auditor / tracer holds records they
-    land in ``audit.jsonl`` / ``trace.jsonl``, making the directory a
-    self-contained unit both ``python -m repro audit <dir>`` and
-    ``python -m repro report <dir>/trace.jsonl`` consume.
-    """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    paths: dict[str, Path] = {}
-    report_path = out / "report.txt"
-    report_path.write_text(result.table + "\n", encoding="utf-8")
-    paths["report"] = report_path
-    if result.cells:
-        paths["cells_json"] = save_records_json(out / "cells.json", result.cells)
-        paths["cells_csv"] = save_records_csv(out / "cells.csv", result.cells)
-    if manifest is not None:
-        paths["manifest"] = audit.write_manifest(out / "manifest.json", manifest)
-    auditor = audit.auditor()
-    if auditor is not None and auditor.records:
-        paths["audit"] = auditor.save(out / "audit.jsonl")
-    tracer = trace.tracer()
-    if tracer is not None and tracer.events:
-        paths["trace"] = tracer.save(out / "trace.jsonl")
-    return paths
 
 
 # ----------------------------------------------------------------------

@@ -557,22 +557,6 @@ class TestSilentMaskBase:
         assert result.accepted.any()
         assert result.info["silent"] == 1
 
-    def test_keyword_and_attribute_channel_agree(self, name):
-        """The legacy one-shot attribute behaves like the keyword."""
-        rng = seeded_generator(2)
-        n = 8
-        proposals = rng.standard_normal((n, 4)) * 0.1
-        silent = np.zeros(n, dtype=bool)
-        silent[5] = True
-        a = get_consensus(name)
-        a.silent_mask = silent.copy()
-        ra = a.agree(proposals, rng=seeded_generator(3))
-        assert a.silent_mask is None  # one-shot
-        b = get_consensus(name)
-        rb = b.agree(proposals, silent_mask=silent, rng=seeded_generator(3))
-        np.testing.assert_array_equal(ra.accepted, rb.accepted)
-        np.testing.assert_allclose(ra.value, rb.value)
-
 
 class TestCommitteeRemap:
     def test_committee_indices_remapped_to_full_membership(self):
@@ -617,13 +601,6 @@ class TestTrainerWithACS:
         assert np.isfinite(record.test_loss)
         assert record.consensus_cost.model_messages > 0
         assert record.consensus_cost.scalar_messages > 0
-
-    def test_make_consensus_backcompat(self):
-        from repro.core.trainer import make_consensus
-
-        assert isinstance(make_consensus("acs"), ACSConsensus)
-        with pytest.raises(KeyError):
-            make_consensus("raft")
 
 
 # ---------------------------------------------------------------------------

@@ -98,12 +98,11 @@ class TestPBFTSilentMembers:
         protocol = PBFTConsensus()
         silent = np.zeros(7, dtype=bool)
         silent[2] = True
-        protocol.silent_mask = silent
-        result = protocol.agree(proposals, rng=rng)
+        result = protocol.agree(proposals, silent_mask=silent, rng=rng)
         assert not result.accepted[2]
         assert np.linalg.norm(result.value - center) < 1.0
-        # the mask is one-shot: the next agree() sees a live quorum again
-        assert protocol.silent_mask is None
+        # the mask belongs to one call: the next agree() sees a live quorum
+        assert protocol.agree(proposals, rng=rng).accepted[2]
 
     def test_silent_primary_counts_view_timeouts(self, rng):
         proposals, _ = proposals_with_outlier(rng, n=7)
@@ -112,8 +111,9 @@ class TestPBFTSilentMembers:
         for seed in range(20):
             silent = np.zeros(7, dtype=bool)
             silent[0] = True
-            protocol.silent_mask = silent
-            r = protocol.agree(proposals, rng=np.random.default_rng(seed))
+            r = protocol.agree(
+                proposals, silent_mask=silent, rng=np.random.default_rng(seed)
+            )
             assert r.info["view_timeouts"] <= r.info["view_changes"]
             timeouts += r.info["view_timeouts"]
         assert timeouts > 0  # some rotation started with the silent primary
@@ -123,17 +123,15 @@ class TestPBFTSilentMembers:
         byz = np.array([True, False, False, False, False, False])
         silent = np.array([False, True, False, False, False, False])
         protocol = PBFTConsensus()
-        protocol.silent_mask = silent
         # f = 1 Byzantine + 1 silent = 2, n = 6: 3f >= n -> unsafe
         with pytest.raises(ValueError):
-            protocol.agree(proposals, byzantine_mask=byz, rng=rng)
+            protocol.agree(proposals, byzantine_mask=byz, silent_mask=silent, rng=rng)
 
     def test_bad_silent_mask_shape_rejected(self, rng):
         proposals, _ = proposals_with_outlier(rng, n=7)
         protocol = PBFTConsensus()
-        protocol.silent_mask = np.zeros(3, dtype=bool)
         with pytest.raises(ValueError):
-            protocol.agree(proposals, rng=rng)
+            protocol.agree(proposals, silent_mask=np.zeros(3, dtype=bool), rng=rng)
 
 
 class TestPoS:

@@ -5,7 +5,8 @@ import pytest
 
 from repro.attacks import SignFlip
 from repro.core.config import ABDHFLConfig, LevelAggregation, TrainingConfig
-from repro.core.trainer import ABDHFLTrainer, make_consensus
+from repro.consensus import get_consensus
+from repro.core.trainer import ABDHFLTrainer
 from repro.data.partition import iid_partition
 from repro.data.poisoning import poison_type1
 from repro.data.synthetic_mnist import SyntheticMNIST, make_synthetic_mnist
@@ -239,18 +240,18 @@ class TestPipelineMode:
 class TestMakeConsensus:
     def test_all_protocols_instantiable(self):
         for name in ("voting", "committee", "pbft", "pos", "approx_agreement"):
-            protocol = make_consensus(name)
+            protocol = get_consensus(name)
             assert protocol is not None
 
     def test_unknown_protocol(self):
         with pytest.raises(KeyError):
-            make_consensus("raft")
+            get_consensus("raft")
 
     def test_validator_injected(self, tiny_model, tiny_test_set):
         from repro.consensus.validation import ModelValidator
 
         validator = ModelValidator(tiny_model, [tiny_test_set])
-        protocol = make_consensus("voting", validator=None)
+        protocol = get_consensus("voting", validator=None)
         assert protocol.validator is None
-        protocol = make_consensus("voting", {}, validator=validator)
+        protocol = get_consensus("voting", {}, validator=validator)
         assert protocol.validator is validator

@@ -1,24 +1,16 @@
 """Tests for result persistence and the CLI."""
 
+import argparse
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
-from repro.core.trainer import RoundRecord
-from repro.core.vanilla import VanillaRoundRecord
-from repro.experiments.io import (
-    load_curves_npz,
-    load_history_csv,
-    load_records_json,
-    save_curves_npz,
-    save_history_csv,
-    save_records_json,
-)
+from repro.experiments.io import load_records_json, save_records_json
 from repro.experiments.table5 import Table5Cell
-from repro.obs import audit
+from repro.obs import trace
 from repro.scenario import (
+    KINDS,
     DataSpec,
     PipelineSpec,
     TopologySpec,
@@ -42,35 +34,6 @@ def tiny_spec_file(tmp_path, shipped, **changes):
     return str(path)
 
 
-class TestHistoryCSV:
-    def test_round_trip(self, tmp_path):
-        history = [
-            RoundRecord(0, 0.5, 1.2, 0.9),
-            RoundRecord(1, 0.6, 1.0, 0.8),
-        ]
-        path = save_history_csv(tmp_path / "h.csv", history)
-        rows = load_history_csv(path)
-        assert rows[0]["round_index"] == 0
-        assert rows[1]["test_accuracy"] == pytest.approx(0.6)
-        assert len(rows) == 2
-
-    def test_vanilla_records_share_schema(self, tmp_path):
-        history = [VanillaRoundRecord(0, 0.4, 2.0, 1.5)]
-        path = save_history_csv(tmp_path / "v.csv", history)
-        rows = load_history_csv(path)
-        assert rows[0]["test_loss"] == pytest.approx(2.0)
-
-    def test_wrong_schema_rejected(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("a,b\n1,2\n")
-        with pytest.raises(ValueError):
-            load_history_csv(path)
-
-    def test_creates_parent_dirs(self, tmp_path):
-        path = save_history_csv(tmp_path / "deep" / "dir" / "h.csv", [])
-        assert path.exists()
-
-
 class TestCellsJSON:
     def test_round_trip(self, tmp_path):
         cells = [
@@ -88,34 +51,23 @@ class TestCellsJSON:
             load_records_json(path)
 
 
-class TestCurvesNPZ:
-    def test_round_trip(self, tmp_path):
-        path = save_curves_npz(
-            tmp_path / "c.npz",
-            rounds=np.arange(5),
-            mean=np.linspace(0, 1, 5),
-        )
-        back = load_curves_npz(path)
-        np.testing.assert_array_equal(back["rounds"], np.arange(5))
-        assert set(back) == {"rounds", "mean"}
-
-    def test_dataclass_rejected(self, tmp_path):
-        cell = Table5Cell(True, "type1", 0.0, 0.9, 0.9)
-        with pytest.raises(TypeError):
-            save_curves_npz(tmp_path / "c.npz", cell=cell)
-
-
 class TestCLI:
     def test_parser_commands(self):
         parser = build_parser()
         assert parser.parse_args(["scenario", "list"]).command == "scenario"
-        assert parser.parse_args(["report", "t.jsonl"]).command == "report"
-        assert parser.parse_args(["audit", "run"]).command == "audit"
+        assert parser.parse_args(["inspect", "run"]).command == "inspect"
         assert parser.parse_args(["lint"]).command == "lint"
+        # exactly three commands, and no root option besides -h
+        [commands] = [
+            a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+        ]
+        assert list(commands.choices) == ["scenario", "inspect", "lint"]
+        assert [a.dest for a in parser._actions] == ["help", "command"]
 
     @pytest.mark.parametrize(
         "command",
-        ["table5", "figure3", "schemes", "pipeline", "tolerance", "matrix"],
+        ["table5", "figure3", "schemes", "pipeline", "tolerance", "matrix",
+         "report", "audit"],
     )
     def test_removed_subcommands_exit_2(self, command, capsys):
         with pytest.raises(SystemExit) as exit_info:
@@ -123,11 +75,22 @@ class TestCLI:
         assert exit_info.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag", ["--seed", "--rounds", "--paper-scale"])
+    @pytest.mark.parametrize(
+        "flag",
+        ["--seed", "--rounds", "--paper-scale",
+         "--out", "--trace", "--audit", "--workers"],
+    )
     def test_removed_root_flags_exit_2(self, flag):
         with pytest.raises(SystemExit) as exit_info:
             main([flag, "1", "scenario", "list"])
         assert exit_info.value.code == 2
+
+    @pytest.mark.parametrize("switch", ["--trace", "--audit"])
+    def test_stream_switches_need_a_run_directory(self, switch, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["scenario", "run", "smoke", switch])
+        assert exit_info.value.code == 2
+        assert "require --out DIR" in capsys.readouterr().err
 
     def test_tolerance_closed_form(self, tmp_path, capsys):
         spec = tiny_spec_file(tmp_path, "tolerance", fractions=(0.0, 0.5), **TINY)
@@ -155,7 +118,7 @@ class TestCLI:
             tmp_path, "table5", fractions=(0.0,), attacks=("type1",),
             distributions=("iid",), seed=7, **TINY,
         )
-        assert main(["--out", str(tmp_path / "run"), "scenario", "run", spec]) == 0
+        assert main(["scenario", "run", spec, "--out", str(tmp_path / "run")]) == 0
         cells = load_records_json(tmp_path / "run" / "cells.json")
         assert len(cells) == 1
         assert Table5Cell(**cells[0]).attack == "type1"
@@ -201,17 +164,84 @@ class TestSpecResolution:
 
 
 def test_run_directory_gathers_every_artifact(tmp_path, capsys):
-    """A traced + audited `scenario run --out DIR` leaves one directory
-    both `repro report` and `repro audit` read."""
-    out, copy = tmp_path / "run", tmp_path / "trace-copy.jsonl"
-    argv = ["--trace", str(copy), "--audit", str(tmp_path / "audit-copy.jsonl")]
-    assert main([*argv, "scenario", "run", "smoke", "--out", str(out)]) == 0
-    assert sorted(p.name for p in out.iterdir()) == [
-        "audit.jsonl", "cells.csv", "cells.json", "manifest.json",
-        "report.txt", "trace.jsonl",
+    """A traced + audited `scenario run --out DIR` leaves one directory —
+    the only copy of every artifact — that `repro inspect` reads."""
+    out = tmp_path / "run"
+    argv = ["scenario", "run", "smoke", "--out", str(out), "--trace", "--audit"]
+    assert main(argv) == 0
+    assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == [
+        "run", "run/audit.jsonl", "run/cells.csv", "run/cells.json",
+        "run/manifest.json", "run/report.txt", "run/trace.jsonl",
     ]
-    assert (out / "trace.jsonl").read_bytes() == copy.read_bytes()
-    assert audit.load_manifest(out / "manifest.json")["spec"]["name"] == "smoke"
+    table = capsys.readouterr().out.split("saved ")[0]
+    assert main(["inspect", str(out), "--strict"]) == 0
+    shown = capsys.readouterr().out
+    assert shown.startswith("manifest: schema 1, ")
+    assert "command scenario run smoke, seed 7\nstatus: complete\n" in shown
+    assert table in shown  # report.txt as stored
+    assert "8 trace events" in shown
+    assert "Detection vs injected ground truth" in shown
+
+
+def test_stream_off_is_absent_and_on_but_empty_is_an_empty_file(tmp_path, capsys):
+    """`pipeline` emits trace events but no audit record: the audited
+    run leaves an empty audit.jsonl, the unaudited one none."""
+    on, off = tmp_path / "on", tmp_path / "off"
+    assert main(["scenario", "run", "pipeline", "--out", str(on), "--audit"]) == 0
+    assert main(["scenario", "run", "pipeline", "--out", str(off)]) == 0
+    assert (on / "audit.jsonl").read_bytes() == b""
+    assert not (off / "audit.jsonl").exists() and not (on / "trace.jsonl").exists()
     capsys.readouterr()
-    assert main(["report", str(out / "trace.jsonl"), "--strict"]) == 0
-    assert main(["audit", str(out), "--strict"]) == 0
+    assert main(["inspect", str(on)]) == 0
+    shown = capsys.readouterr().out
+    assert "trace: off" in shown and "0 records" in shown
+    assert main(["inspect", str(off)]) == 0
+    assert "audit: off" in capsys.readouterr().out
+
+
+def test_crashed_run_leaves_the_evidence(tmp_path, monkeypatch, capsys):
+    """A cell task that raises after its rounds: the exception propagates, the
+    manifest (on disk before the first cell) says why, and both streams
+    hold exactly the rows of the cells that finished."""
+    good, bad = tmp_path / "good", tmp_path / "bad"
+    argv = ["scenario", "run", "smoke", "--trace", "--audit", "--out"]
+    assert main([*argv, str(good)]) == 0
+    capsys.readouterr()
+
+    kind = KINDS["defence_matrix"]
+    seen_at_first_cell = []
+
+    def task(item):
+        seen_at_first_cell.append(sorted(p.name for p in bad.iterdir()))
+        gap = kind.task(item)  # the cell's rounds run (and record) first
+        if item[1].index == 1:
+            raise RuntimeError("boom in cell 1")
+        return gap
+
+    monkeypatch.setitem(KINDS, "defence_matrix", replace(kind, task=task))
+    with pytest.raises(RuntimeError, match="boom in cell 1"):
+        main([*argv, str(bad)])
+
+    assert seen_at_first_cell[0] == ["manifest.json"]
+    assert sorted(p.name for p in bad.iterdir()) == [
+        "audit.jsonl", "manifest.json", "trace.jsonl",
+    ]
+    for name in ("trace.jsonl", "audit.jsonl"):
+        kept = (bad / name).read_text()
+        assert kept and (good / name).read_text().startswith(kept)
+        assert kept != (good / name).read_text()
+    assert main(["inspect", str(bad), "--strict"]) == 0
+    shown = capsys.readouterr().out
+    assert "status: failed - RuntimeError('boom in cell 1')" in shown
+
+
+def test_inspect_records_nothing_about_itself(tmp_path, capsys):
+    """`inspect` is a pure consumer: run with the tracer on (as under
+    REPRO_TRACE=1) it emits no event and touches no file."""
+    out = tmp_path / "run"
+    assert main(["scenario", "run", "smoke", "--out", str(out), "--trace"]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    with trace.traced() as tr:
+        assert main(["inspect", str(out)]) == 0
+    assert tr.events == []
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before

@@ -618,25 +618,21 @@ class TestEventRunTracing:
 class TestTrainerTracing:
     @pytest.fixture(scope="class")
     def traced_trainer(self):
+        """A 2-round trainer and the tracer that watched it."""
         from test_core_trainer import default_config, small_setup
 
         hierarchy, datasets, model, test = small_setup()
         from repro.core.trainer import ABDHFLTrainer
 
         trainer = ABDHFLTrainer(
-            hierarchy, datasets, model, default_config(trace=True), test, seed=0
+            hierarchy, datasets, model, default_config(), test, seed=0
         )
-        trainer.run(2)
-        return trainer
-
-    def test_config_trace_gives_trainer_a_private_tracer(self, traced_trainer):
-        tr = traced_trainer.tracer
-        assert tr is not None
-        # the trainer's tracer is scoped per round: off outside run_round
-        assert trace.tracer() is None
+        with trace.traced() as tr:
+            trainer.run(2)
+        return trainer, tr
 
     def test_round_events_and_metrics_recorded(self, traced_trainer):
-        tr = traced_trainer.tracer
+        _, tr = traced_trainer
         names = [e.name for e in tr.events]
         assert names.count("trainer.round") == 2
         for stage in (
@@ -650,22 +646,23 @@ class TestTrainerTracing:
         assert samples, "per-round metric snapshots missing"
 
     def test_round_timestamps_are_round_indices(self, traced_trainer):
-        rounds = [
-            e.t for e in traced_trainer.tracer.events if e.name == "trainer.round"
-        ]
+        _, tr = traced_trainer
+        rounds = [e.t for e in tr.events if e.name == "trainer.round"]
         assert rounds == [0.0, 1.0]
 
     def test_consensus_and_aggregation_events_present(self, traced_trainer):
-        names = [e.name for e in traced_trainer.tracer.events]
+        names = [e.name for e in traced_trainer[1].events]
         assert any(n.startswith("consensus.") for n in names)
         assert any(n.startswith("aggregate.") for n in names)
 
     def test_trace_serialises_and_validates(self, traced_trainer, tmp_path):
-        path = traced_trainer.tracer.save(tmp_path / "train.jsonl")
-        events = load_trace(path)
-        assert len(events) == len(traced_trainer.tracer.events)
+        _, tr = traced_trainer
+        events = load_trace(tr.save(tmp_path / "train.jsonl"))
+        assert len(events) == len(tr.events)
 
     def test_trace_off_by_default(self):
+        """No per-trainer knob: a trainer run outside a ``traced()``
+        scope installs nothing."""
         from test_core_trainer import default_config, small_setup
 
         hierarchy, datasets, model, test = small_setup()
@@ -674,7 +671,8 @@ class TestTrainerTracing:
         trainer = ABDHFLTrainer(
             hierarchy, datasets, model, default_config(), test, seed=0
         )
-        assert trainer.tracer is None
+        trainer.run_round(evaluate=False)
+        assert trace.tracer() is None and not hasattr(trainer, "tracer")
 
     def test_traced_training_matches_untraced(self, traced_trainer):
         from test_core_trainer import default_config, small_setup
@@ -687,5 +685,5 @@ class TestTrainerTracing:
         )
         baseline.run(2)
         np.testing.assert_array_equal(
-            baseline.global_model, traced_trainer.global_model
+            baseline.global_model, traced_trainer[0].global_model
         )

@@ -40,7 +40,6 @@ class Mechanism:
     make: Callable[[], Any] | None = None
     scoped: Callable[[Any], Any] | None = None
     fresh: Callable[..., Any] | None = None
-    env_path: Callable[[], Path | None] | None = None
     emit: Callable[[Any], None] | None = None
     load: Callable[[Path], list] | None = None
 
@@ -67,7 +66,6 @@ MECHANISMS = [
         make=Tracer,
         scoped=trace.scoped,
         fresh=trace.traced,
-        env_path=trace.env_trace_path,
         emit=lambda tr: tr.instant("a", "c", 0.0),
         load=load_trace,
     ),
@@ -83,7 +81,6 @@ MECHANISMS = [
         make=Auditor,
         scoped=audit.scoped,
         fresh=audit.audited,
-        env_path=audit.env_audit_path,
         emit=lambda au: au.record("metric", name="gap", value=1.0),
         load=lambda path: load_audit(path, strict=True)[0],
     ),
@@ -180,11 +177,10 @@ class TestGateContract:
         slot = ambient._SLOTS[mech.name]
         assert slot.env_var == mech.env_var
         monkeypatch.delenv(mech.env_var, raising=False)
-        assert not slot.env_on() and slot.env_path() is None
+        assert not slot.env_on()
         for value in ("1", "true", "ON", "yes", " 1 "):
             monkeypatch.setenv(mech.env_var, value)
             assert slot.env_on(), value
-            assert slot.env_path() is None, value
         monkeypatch.setenv(mech.env_var, "")
         assert not slot.env_on()
 
@@ -192,13 +188,13 @@ class TestGateContract:
         for value in ("0", "off", "runs/t.jsonl"):
             monkeypatch.setenv("REPRO_SANITIZE", value)
             assert not ambient.SANITIZE.env_on(), value
-            assert ambient.SANITIZE.env_path() is None
 
     @pytest.mark.parametrize("mech", SINKS, ids=_ids)
     def test_env_path_parsing(self, mech, monkeypatch):
+        """One rule for all three: a path is a non-truthy word like any
+        other — it leaves the sink off, it is never a save target."""
         monkeypatch.setenv(mech.env_var, "runs/t.jsonl")
-        assert ambient._SLOTS[mech.name].env_on()
-        assert mech.env_path() == Path("runs/t.jsonl")
+        assert not ambient._SLOTS[mech.name].env_on()
 
     def test_disabled_context_is_a_shared_noop(self):
         assert audit.context(members=[1]) is audit.context(level=0)
@@ -256,17 +252,6 @@ class TestShipping:
         assert [e.name for e in tr.events] == ["t0", "t1", "t2"]
         assert [r["step"] for r in au.records] == [0, 1, 2]
 
-    def test_installed_skips_none_and_restores(self):
-        mine = Tracer()
-        with sanitize.sanitized(False):
-            with ambient.installed(sanitize=None, trace=mine, audit=None):
-                assert trace.tracer() is mine
-                assert not sanitize.enabled() and audit.auditor() is None
-            with ambient.installed(sanitize=True):
-                assert sanitize.enabled()
-            assert not sanitize.enabled()
-        assert trace.tracer() is None
-
     def test_recording_tracks_sinks_only(self):
         assert sanitize.enabled() and not ambient.recording()
         with audit.audited():
@@ -306,6 +291,13 @@ def _trip(item: int) -> int:
     return item
 
 
+def _record_then_fail_on_two(item: int) -> int:
+    trace.tracer().instant(f"task{item}", "c", float(item))
+    if item == 2:
+        raise RuntimeError("task 2")
+    return item
+
+
 def _trip_through_parallel_map(workers: int) -> SanitizerError:
     with sanitize.provenance(round_index=7, node_id=3):
         with pytest.raises(SanitizerError) as caught:
@@ -336,6 +328,14 @@ class TestWorkerErrors:
         clone = pickle.loads(pickle.dumps(error))
         assert type(clone) is SanitizerError
         assert _provenance_of(clone) == ("boom", "x", "krum", 3, 9)
+
+    @pytest.mark.parametrize("workers", [1, pytest.param(2, marks=pytest.mark.slow)])
+    def test_failing_task_keeps_the_rows_of_those_before_it(self, workers):
+        """What a crashed sweep leaves behind is worker-invariant too."""
+        run = lambda: parallel_map(_record_then_fail_on_two, range(4), workers)
+        with trace.traced() as tr, pytest.raises(RuntimeError, match="task 2"):
+            _bounded(run)
+        assert [e.name for e in tr.events] == ["task0", "task1"]
 
     @pytest.mark.slow
     def test_parallel_map_trip_reaches_parent(self):

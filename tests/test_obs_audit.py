@@ -9,7 +9,9 @@ Pins the three contracts of :mod:`repro.obs.audit`:
   (or fail under ``--strict``), manifests round-trip;
 * **analysis** — detection precision/recall/FPR from
   :mod:`repro.obs.audit_report` match hand-computed confusion counts,
-  and a run self-diff is exactly zero.
+  and a run self-diff is exactly zero;
+
+and the run-directory reader ``python -m repro inspect`` over all of it.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from repro.cli import main
 from repro.experiments.matrix import gradient_gap
 from repro.obs import audit
 from repro.obs.audit_report import build_audit_report, diff_audit
-from repro.scenario import matrix_spec, run_scenario
+from repro.scenario import matrix_spec, run_scenario, rundir
 from test_determinism_subprocess import _run_child
 
 # ----------------------------------------------------------------------
@@ -124,9 +126,7 @@ def test_manifest_round_trip(tmp_path):
     )
     assert manifest["schema"] == audit.AUDIT_SCHEMA_VERSION
     assert manifest["package"]["name"] == "repro"
-    path = audit.manifest_path_for(tmp_path / "audit.jsonl")
-    assert path.name == "audit.manifest.json"
-    audit.write_manifest(path, manifest)
+    path = audit.write_manifest(tmp_path / "run" / "manifest.json", manifest)
     assert audit.load_manifest(path) == manifest
     newer = dict(manifest, schema=audit.AUDIT_SCHEMA_VERSION + 1)
     audit.write_manifest(path, newer)
@@ -282,31 +282,32 @@ def test_diff_zero_on_self_and_nonzero_on_change():
 
 
 # ----------------------------------------------------------------------
-# CLI
+# CLI: `inspect` over run directories
 # ----------------------------------------------------------------------
 def _write_run(tmp_path, name, records):
+    """A hand-made run directory holding ``records`` as its audit stream."""
     run_dir = tmp_path / name
     au = audit.Auditor()
     au.records.extend(records)
-    path = au.save(run_dir / "audit.jsonl")
+    au.save(run_dir / "audit.jsonl")
     audit.write_manifest(
-        audit.manifest_path_for(path),
-        audit.build_manifest(command="test", seed=0),
+        run_dir / "manifest.json", audit.build_manifest(command="test", seed=0)
     )
     return run_dir
 
 
 def test_cli_audit_report_and_self_diff(tmp_path, capsys):
     run_dir = _write_run(tmp_path, "runA", _hand_records())
-    assert main(["audit", str(run_dir)]) == 0
+    assert main(["inspect", str(run_dir)]) == 0
     out = capsys.readouterr().out
     assert "Detection vs injected ground truth" in out
     assert "krum/sign_flip" in out
     assert "2,3" in out  # ground-truth attacker ids
     assert "manifest: schema 1" in out
+    assert "trace: off" in out
 
     assert main(
-        ["audit", "--diff", str(run_dir), str(run_dir), "--check"]
+        ["inspect", str(run_dir), "--diff", str(run_dir), "--check"]
     ) == 0
     assert "max |delta| = 0.000e+00" in capsys.readouterr().out
 
@@ -317,35 +318,70 @@ def test_cli_audit_diff_check_fails_on_regression(tmp_path, capsys):
     changed[2]["value"] = 2.0
     run_b = _write_run(tmp_path, "runB", changed)
     assert main(
-        ["audit", "--diff", str(run_a), str(run_b), "--check"]
+        ["inspect", str(run_a), "--diff", str(run_b), "--check"]
     ) == 1
     assert "REGRESSION" in capsys.readouterr().out
     # Without --check the diff is informational only.
-    assert main(["audit", "--diff", str(run_a), str(run_b)]) == 0
+    assert main(["inspect", str(run_a), "--diff", str(run_b)]) == 0
+    # --tol is the threshold --check gates on
+    argv = ["inspect", str(run_a), "--diff", str(run_b), "--check", "--tol", "1"]
+    assert main(argv) == 0
+
+
+@pytest.mark.parametrize("flags", [["--check"], ["--tol", "1e-3"]])
+def test_cli_check_and_tol_need_diff(tmp_path, flags, capsys):
+    run_dir = _write_run(tmp_path, "runA", _hand_records())
+    with pytest.raises(SystemExit) as exit_info:
+        main(["inspect", str(run_dir), *flags])
+    assert exit_info.value.code == 2
+    assert "require --diff" in capsys.readouterr().err
 
 
 def test_cli_audit_missing_run(tmp_path, capsys):
-    assert main(["audit", str(tmp_path / "nope")]) == 2
-    assert "repro audit" in capsys.readouterr().err
+    """No directory, a directory without a manifest, a diff against a
+    run without the audit stream: exit 2 and one stderr line each."""
+    run_dir = _write_run(tmp_path, "runA", _hand_records())
+    (tmp_path / "empty").mkdir()
+    unaudited = _write_run(tmp_path, "runB", [])
+    (unaudited / "audit.jsonl").unlink()
+    for argv in (
+        [str(tmp_path / "nope")],
+        [str(tmp_path / "empty")],
+        [str(run_dir), "--diff", str(unaudited)],
+        [str(run_dir), "--chrome", str(tmp_path / "t.json")],
+    ):
+        assert main(["inspect", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("repro inspect: ")
+        assert len(captured.err.splitlines()) == 1
 
 
 def test_cli_report_lenient_counts_skipped_lines(tmp_path, capsys):
+    """One warning path and one --strict for both streams."""
+    run_dir = _write_run(tmp_path, "run", _hand_records())
     event = json.dumps(
         {"name": "round", "cat": "trainer", "ph": "X", "t": 0.0, "dur": 1.0}
     )
-    path = tmp_path / "trace.jsonl"
-    path.write_text(f"{event}\nnot json\n", encoding="utf-8")
-    assert main(["report", str(path)]) == 0
+    (run_dir / "trace.jsonl").write_text(f"{event}\nnot json\n", encoding="utf-8")
+    with (run_dir / "audit.jsonl").open("a", encoding="utf-8") as handle:
+        handle.write('{"kind": "nope"}\n')
+    assert main(["inspect", str(run_dir)]) == 0
     captured = capsys.readouterr()
-    assert "skipped 1 unrecognised line(s)" in captured.err
-    assert main(["report", str(path), "--strict"]) == 2
-    assert "invalid JSON" in capsys.readouterr().err
+    assert "1 trace events" in captured.out
+    warnings = captured.err.splitlines()
+    assert len(warnings) == 2
+    assert "trace.jsonl: skipped 1 invalid line(s), first at line 2" in warnings[0]
+    assert "audit.jsonl: skipped 1 invalid line(s), first at line 4" in warnings[1]
+    assert main(["inspect", str(run_dir), "--strict"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "trace.jsonl:2: invalid JSON" in captured.err
 
 
 @pytest.mark.slow
 def test_cli_audited_matrix_end_to_end(tmp_path, capsys):
-    """--audit on a defence-matrix run writes records + manifest that the
-    audit command consumes, and whose ground truth names the injected
+    """--audit on a defence-matrix run leaves records + manifest that
+    `inspect` consumes, and whose ground truth names the injected
     attacker set exactly."""
     from repro.scenario import dump_scenario
 
@@ -361,25 +397,25 @@ def test_cli_audited_matrix_end_to_end(tmp_path, capsys):
         ),
         spec_path,
     )
-    jsonl = tmp_path / "run" / "audit.jsonl"
-    assert main(["--audit", str(jsonl), "scenario", "run", str(spec_path)]) == 0
+    run_dir = tmp_path / "run"
+    argv = ["scenario", "run", str(spec_path), "--out", str(run_dir), "--audit"]
+    assert main(argv) == 0
     capsys.readouterr()
-    assert jsonl.is_file()
-    manifest = audit.load_manifest(audit.manifest_path_for(jsonl))
-    assert manifest["command"] == "scenario"
-    records, skipped = audit.load_audit(jsonl, strict=True)
-    assert skipped == []
-    truth = [r for r in records if r["kind"] == "ground_truth"]
+    run = rundir.read(run_dir, strict=True)
+    assert run.manifest["command"] == f"scenario run {spec_path}"
+    assert run.trace is None and run.skipped == {}
+    truth = [r for r in run.audit if r["kind"] == "ground_truth"]
     assert truth and all(r["byzantine"] == [6, 7] for r in truth)
-    assert main(["audit", str(jsonl), "--strict", "--no-timelines"]) == 0
+    chrome = tmp_path / "trace.chrome.json"
+    assert main(["inspect", str(run_dir), "--strict", "--no-timelines"]) == 0
     out = capsys.readouterr().out
     assert "Detection vs injected ground truth" in out
-    assert main(["audit", "--diff", str(jsonl), str(jsonl), "--check"]) == 0
+    assert "Suspicion timeline" not in out
+    assert main(["inspect", str(run_dir), "--diff", str(run_dir), "--check"]) == 0
+    assert main(["inspect", str(run_dir), "--chrome", str(chrome)]) == 2  # no trace
 
 
 def test_scenario_persist_artifacts(tmp_path):
-    from repro.scenario import ScenarioRunner, persist_result, run_manifest
-
     spec = matrix_spec(
         name="persist-test",
         defences=("median",),
@@ -389,11 +425,7 @@ def test_scenario_persist_artifacts(tmp_path):
         dim=4,
         n_trials=1,
     )
-    with audit.audited():
-        result = ScenarioRunner().run(spec)
-        paths = persist_result(
-            result, tmp_path / "out", manifest=run_manifest(spec)
-        )
+    _, paths = rundir.record(spec, tmp_path / "out", audited=True)
     assert sorted(paths) == [
         "audit", "cells_csv", "cells_json", "manifest", "report",
     ]
@@ -403,8 +435,9 @@ def test_scenario_persist_artifacts(tmp_path):
 
     [cell] = load_records_json(paths["cells_json"])
     assert cell["defence"] == "median" and cell["attack"] == "sign_flip"
-    manifest = audit.load_manifest(paths["manifest"])
-    assert manifest["spec"]["name"] == "persist-test"
-    assert "krum" in manifest["registries"]["aggregators"]
-    records, skipped = audit.load_audit(paths["audit"], strict=True)
-    assert records and skipped == []
+    run = rundir.read(tmp_path / "out", strict=True)
+    assert run.manifest["spec"]["name"] == "persist-test"
+    assert run.manifest["status"] == "complete"
+    assert "krum" in run.manifest["registries"]["aggregators"]
+    assert run.audit and run.trace is None and run.skipped == {}
+    assert run.report == paths["report"].read_text()
